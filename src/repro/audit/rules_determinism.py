@@ -20,8 +20,8 @@ from repro.audit.engine import Finding, ModuleContext, Rule, iter_qualified_uses
 #: Simulator scope: code that runs *inside* a simulated experiment.
 #: These modules may touch neither the wall clock nor global RNG state;
 #: they receive injected streams and read the simulation clock.
-#: ``repro.topology`` joined with the mesh layer (PR 8): SharedLink /
-#: RoutePath code executes inside the shared simulator's event loop.
+#: ``repro.topology`` is in scope because mesh wiring and per-route
+#: code execute inside the shared simulator's event loop.
 SIM_SCOPE = (
     "repro.net",
     "repro.protocols",

@@ -13,7 +13,8 @@ simulator:
 * :mod:`repro.net.packets` — the packet taxonomy (data/probe/ack);
 * :mod:`repro.net.loss` — Bernoulli and Gilbert-Elliott loss models;
 * :mod:`repro.net.latency` — link latency models;
-* :mod:`repro.net.link` — lossy, delaying links with statistics;
+* :mod:`repro.net.link` — lossy, delaying wires and the per-path links
+  riding them;
 * :mod:`repro.net.node` — node runtime: packet store, timers, forwarding;
 * :mod:`repro.net.path` — the linear path topology;
 * :mod:`repro.net.simulator` — the engine tying it together;
@@ -29,7 +30,7 @@ surface that :mod:`repro.net.trace` and :mod:`repro.obs` build on.
 from repro.net.clock import NodeClock, SimClock
 from repro.net.events import EventQueue
 from repro.net.latency import FixedLatency, UniformLatency
-from repro.net.link import Link, LinkObserver
+from repro.net.link import Link, LinkObserver, Wire
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
 from repro.net.node import Node, PacketStore
 from repro.net.packets import (
@@ -54,6 +55,7 @@ __all__ = [
     "FixedLatency",
     "Link",
     "LinkObserver",
+    "Wire",
     "BernoulliLoss",
     "GilbertElliottLoss",
     "NoLoss",

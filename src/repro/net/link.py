@@ -1,28 +1,38 @@
-"""Lossy, delaying links.
+"""Lossy, delaying links, split into a physical wire and per-path hops.
 
-A :class:`Link` joins adjacent path nodes ``F_i`` and ``F_{i+1}``. Each
-traversal independently draws (a) a loss decision from the link's loss
+A :class:`Wire` is the physical medium between two routers. Each
+traversal independently draws (a) a loss decision from the wire's loss
 model for that direction and (b) a propagation delay from the latency
-model, matching §8.1's simulation setup. Delivery is an engine event, so
-in-flight packets are naturally interleaved with timers.
+model, matching §8.1's simulation setup. Both draws come from the wire's
+one labeled stream, loss first. A wire may also carry a link adversary
+that deliberately drops crossings from its own stream.
 
-Links are FIFO per direction: a packet sent after another on the same link
-and direction never overtakes it (its arrival is clamped to the earlier
-packet's arrival time). Real links do not reorder a flow, and the PAAI
-protocols implicitly rely on this — a probe sent right after its data
-packet must reach each node after the data packet did.
+A :class:`Link` is one path's hop ``l_index`` on a wire, joining that
+path's nodes ``F_index`` and ``F_index+1``; it owns what belongs to the
+path: hop index, path id, receivers, hooks and per-path metrics. A
+:class:`~repro.net.path.Path` builds one private wire per hop; a mesh
+(:mod:`repro.topology.mesh`) gives many paths hops on the same wires.
 
-Links model only *natural* loss; adversarial drops happen at nodes (the
-paper emulates a compromised node that drops traffic flowing through it).
+Delivery is an engine event, so in-flight packets are naturally
+interleaved with timers. Wires are FIFO per direction: a packet sent
+after another on the same wire and direction never overtakes it (its
+arrival is clamped to the earlier packet's arrival time), whichever path
+sent it. Real links do not reorder a flow, and the PAAI protocols
+implicitly rely on this — a probe sent right after its data packet must
+reach each node after the data packet did.
+
+On a single path, wires model only *natural* loss; adversarial drops
+happen at nodes (the paper emulates a compromised node that drops
+traffic flowing through it).
 
 Observability: links expose a **public hook API** — register a
 :class:`LinkObserver` with :meth:`Link.add_listener` to see every
-transmission, natural loss, and delivery without touching link internals
+transmission, loss, and delivery without touching link internals
 (this replaced the old tracer's monkey-patching of ``transmit`` and
 ``_receivers``). Listeners registered at any time see all subsequent
 events: the delivery callback is resolved when the packet *arrives*, not
 when it was sent. With a metrics registry active at construction, links
-also publish per-link transmission/loss/byte counters.
+also publish per-path transmission/loss/byte counters.
 
 Fault injection: a second, *mutating* hook stage — :class:`LinkInterceptor`
 via :meth:`Link.add_interceptor` — runs at the head of ``transmit`` and may
@@ -35,6 +45,7 @@ are calibrated against.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Callable, Dict, List, Optional
 
 from repro.exceptions import ConfigurationError
@@ -58,7 +69,8 @@ class LinkObserver:
 
     def on_loss(self, link: "Link", packet: Packet,
                 direction: Direction) -> None:
-        """``packet`` was consumed by natural loss on the link."""
+        """``packet`` was consumed on the link: natural loss, or a drop by
+        the wire's adversary (indistinguishable to the protocol)."""
 
     def on_deliver(self, link: "Link", packet: Packet,
                    direction: Direction) -> None:
@@ -89,12 +101,14 @@ class _LinkMetrics:
 
     Series carry the owning path's id so two paths sharing a simulator
     never merge their counters (the labels are ``link`` — the hop index
-    on the path — plus ``path``, ``kind``, ``direction``).
+    on the path — plus ``path``, ``kind``, ``direction``). Hops on a
+    wire with an adversary also count its drops.
     """
 
-    __slots__ = ("tx", "loss", "bytes")
+    __slots__ = ("tx", "loss", "bytes", "adversarial")
 
-    def __init__(self, registry, index: int, path_id: int) -> None:
+    def __init__(self, registry, index: int, path_id: int,
+                 adversarial: bool) -> None:
         link = str(index)
         path = str(path_id)
         self.tx = {}
@@ -117,16 +131,26 @@ class _LinkMetrics:
                 self.bytes[kind, direction] = registry.counter(
                     "net.link.bytes", **labels
                 )
+        self.adversarial = {
+            key: registry.counter(
+                "net.link.adversarial_drops",
+                link=link,
+                path=path,
+                kind=key[0].value,
+                direction=key[1].value,
+            )
+            for key in self.loss
+        } if adversarial else None
 
 
-class Link:
-    """One bidirectional link ``l_index`` between ``F_index`` and
-    ``F_index+1``.
+class Wire:
+    """The physical medium under one or more path hops.
+
+    State is keyed by the wire's canonical orientation (``u -> v`` for a
+    topology link; the path's forward direction for a private wire).
 
     Parameters
     ----------
-    index:
-        Link position on the path (0-based; ``l_i`` in the paper).
     simulator:
         The engine (provides ``now`` and event scheduling).
     loss_models:
@@ -135,35 +159,100 @@ class Link:
     latency_model:
         Shared latency model (stateless).
     rng:
-        Random stream dedicated to this link.
+        Random stream dedicated to this wire: the loss draw, then the
+        latency draw, per traversal.
+    adversary_rate:
+        Probability that the wire's adversary drops a crossing, drawn
+        before natural loss. Needs ``adversary_rng`` when positive.
+    adversary_rng:
+        The adversary's own stream, so arming it never shifts the
+        natural-loss draws.
+    """
+
+    def __init__(
+        self,
+        simulator,
+        loss_models: Dict[Direction, LossModel],
+        latency_model: LatencyModel,
+        rng: random.Random,
+        adversary_rate: float = 0.0,
+        adversary_rng: Optional[random.Random] = None,
+    ) -> None:
+        if set(loss_models) != {Direction.FORWARD, Direction.REVERSE}:
+            raise ConfigurationError("loss_models must cover both directions")
+        if not 0.0 <= adversary_rate <= 1.0:
+            raise ConfigurationError(
+                f"adversary rate must be in [0, 1], got {adversary_rate}"
+            )
+        if adversary_rate > 0.0 and adversary_rng is None:
+            raise ConfigurationError("an armed wire adversary needs a stream")
+        self.simulator = simulator
+        self.loss_models = loss_models
+        self._latency = latency_model
+        self._rng = rng
+        self.adversary_rate = adversary_rate
+        self._adversary_rng = adversary_rng if adversary_rate > 0.0 else None
+        #: Pooled over every hop riding this wire.
+        self.stats = LinkStats()
+        #: Deliberate (adversarial) drops, keyed (kind, wire direction) —
+        #: LinkStats only knows natural losses.
+        self.adversarial_drops: Counter = Counter()
+        self._last_arrival: Dict[Direction, float] = {
+            Direction.FORWARD: 0.0,
+            Direction.REVERSE: 0.0,
+        }
+        #: The path hops riding this wire, in construction order.
+        self.links: List["Link"] = []
+
+    @property
+    def max_one_way_latency(self) -> float:
+        return self._latency.maximum
+
+    def total_adversarial_drops(self) -> int:
+        return sum(self.adversarial_drops.values())
+
+
+class Link:
+    """One path's bidirectional hop ``l_index`` between ``F_index`` and
+    ``F_index+1``, riding a :class:`Wire`.
+
+    Parameters
+    ----------
+    index:
+        Hop position on the path (0-based; ``l_i`` in the paper).
+    wire:
+        The physical medium this hop crosses.
     path_id:
         Identifier of the owning path (-1 when standalone). Known at
         construction so the link's metric series carry it — counters
         from two paths sharing a simulator must never merge.
+    forward_on_wire:
+        True when the path's forward direction is the wire's canonical
+        one. Two paths crossing one wire in opposite senses still share
+        its loss and FIFO state per physical direction.
     """
 
     def __init__(
         self,
         index: int,
-        simulator,
-        loss_models: Dict[Direction, LossModel],
-        latency_model: LatencyModel,
-        rng: random.Random,
+        wire: Wire,
         path_id: int = -1,
+        forward_on_wire: bool = True,
     ) -> None:
-        if set(loss_models) != {Direction.FORWARD, Direction.REVERSE}:
-            raise ConfigurationError("loss_models must cover both directions")
         self.index = index
         self.path_id = path_id
-        self._simulator = simulator
-        self._loss = loss_models
-        self._latency = latency_model
-        self._rng = rng
-        self.stats = LinkStats()
-        self._last_arrival: Dict[Direction, float] = {
-            Direction.FORWARD: 0.0,
-            Direction.REVERSE: 0.0,
-        }
+        self.wire = wire
+        self.forward_on_wire = forward_on_wire
+        #: The engine this link schedules on.
+        self.simulator = wire.simulator
+        #: The wire's statistics, pooled over every path riding it.
+        self.stats = wire.stats
+        # Orientation resolved once: path direction -> (wire direction,
+        # that direction's loss model).
+        self._sides = {}
+        for direction in Direction:
+            on_wire = self.physical_direction(direction)
+            self._sides[direction] = (on_wire, wire.loss_models[on_wire])
         self._receivers: Dict[Direction, Optional[Callable[[Packet, Direction], None]]] = {
             Direction.FORWARD: None,
             Direction.REVERSE: None,
@@ -172,8 +261,26 @@ class Link:
         self._interceptors: List[LinkInterceptor] = []
         registry = get_registry()
         self._metrics: Optional[_LinkMetrics] = (
-            _LinkMetrics(registry, index, path_id) if registry.enabled else None
+            _LinkMetrics(registry, index, path_id, wire.adversary_rate > 0.0)
+            if registry.enabled
+            else None
         )
+        wire.links.append(self)
+
+    def physical_direction(self, direction: Direction) -> Direction:
+        """The wire direction a packet sent in path ``direction`` takes."""
+        if self.forward_on_wire:
+            return direction
+        return (
+            Direction.REVERSE
+            if direction is Direction.FORWARD
+            else Direction.FORWARD
+        )
+
+    @property
+    def natural_loss_rate(self) -> float:
+        """Average natural loss in the path's forward direction."""
+        return self._sides[Direction.FORWARD][1].average_rate
 
     # -- hooks -------------------------------------------------------------
 
@@ -230,7 +337,7 @@ class Link:
         """Send ``packet`` across the link.
 
         Returns True when the packet will be delivered (an event has been
-        scheduled), False when natural loss consumed it. The return value
+        scheduled), False when the wire consumed it. The return value
         exists for tracing; protocol code must not branch on it — real
         nodes cannot observe downstream loss.
         """
@@ -241,28 +348,41 @@ class Link:
             if replacement is None:
                 return False
             packet = replacement
-        self.stats.record_transmission(packet, direction)
+        wire = self.wire
+        on_wire, loss_model = self._sides[direction]
+        wire.stats.record_transmission(packet, on_wire)
         metrics = self._metrics
         if metrics is not None:
             metrics.tx[packet.kind, direction].inc()
             metrics.bytes[packet.kind, direction].inc(packet.size)
         for listener in self._listeners:
             listener.on_transmit(self, packet, direction)
-        if self._loss[direction].is_lost(self._rng):
-            self.stats.record_natural_loss(packet, direction)
+        adversary = wire._adversary_rng
+        if adversary is not None and adversary.random() < wire.adversary_rate:
+            wire.adversarial_drops[packet.kind, on_wire] += 1
+            if metrics is not None:
+                metrics.adversarial[packet.kind, direction].inc()
+            # Spans still see a loss event: the protocol under test cannot
+            # distinguish adversarial from natural consumption on the wire.
+            for listener in self._listeners:
+                listener.on_loss(self, packet, direction)
+            return False
+        if loss_model.is_lost(wire._rng):
+            wire.stats.record_natural_loss(packet, on_wire)
             if metrics is not None:
                 metrics.loss[packet.kind, direction].inc()
             for listener in self._listeners:
                 listener.on_loss(self, packet, direction)
             return False
-        arrival = self._simulator.now + self._latency.delay(self._rng)
-        # FIFO per direction: never overtake the previous packet.
-        arrival = max(arrival, self._last_arrival[direction])
-        self._last_arrival[direction] = arrival
+        arrival = self.simulator.now + wire._latency.delay(wire._rng)
+        # FIFO per wire direction: never overtake the previous packet,
+        # whichever path sent it.
+        arrival = max(arrival, wire._last_arrival[on_wire])
+        wire._last_arrival[on_wire] = arrival
         def deliver() -> None:
             self._deliver(packet, direction)
 
-        self._simulator.schedule_at(arrival, deliver)
+        self.simulator.schedule_at(arrival, deliver)
         return True
 
     def _deliver(self, packet: Packet, direction: Direction) -> None:
@@ -280,9 +400,4 @@ class Link:
 
     @property
     def max_one_way_latency(self) -> float:
-        return self._latency.maximum
-
-    @property
-    def simulator(self):
-        """The engine this link schedules on (for interceptor tooling)."""
-        return self._simulator
+        return self.wire.max_one_way_latency

@@ -3,6 +3,10 @@
 ``Path`` builds links ``l_0 .. l_{d-1}`` over a :class:`Simulator`, wires
 attached protocol nodes ``F_0 .. F_d`` to them, and exposes the round-trip
 quantities (``r_i``) that the protocols use to size their wait-timers.
+By default each link rides a private :class:`~repro.net.link.Wire`
+drawing from the ``link-{i}`` stream; a mesh route instead passes
+prebuilt ``hops`` over wires shared with other routes
+(:mod:`repro.topology.mesh`).
 
 The topology is deliberately a single path: the paper (following the AAI
 literature) analyzes one source-destination pair at a time, with the
@@ -12,13 +16,13 @@ monitoring period.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.constants import DEFAULT_MAX_LINK_LATENCY
 from repro.exceptions import ConfigurationError
 from repro.net.clock import NodeClock
 from repro.net.latency import LatencyModel, UniformLatency
-from repro.net.link import Link, LinkObserver
+from repro.net.link import Link, LinkObserver, Wire
 from repro.net.loss import BernoulliLoss, LossModel
 from repro.net.node import Node
 from repro.net.packets import Direction, Packet
@@ -63,6 +67,10 @@ class Path:
     clock_skews:
         Optional per-node clock offsets (``d+1`` values) modeling loose
         synchronization; defaults to perfectly synchronized clocks.
+    hops:
+        Optional prebuilt ``(wire, forward_on_wire)`` pair per hop, for
+        paths over shared wires; ``natural_loss`` and ``max_latency``
+        then go unused (the wires already fix them).
     """
 
     def __init__(
@@ -72,9 +80,12 @@ class Path:
         natural_loss: Union[float, Sequence[float], LossFactory] = 0.0,
         max_latency: Union[float, LatencyModel] = DEFAULT_MAX_LINK_LATENCY,
         clock_skews: Optional[Sequence[float]] = None,
+        hops: Optional[Sequence[Tuple[Wire, bool]]] = None,
     ) -> None:
         if length <= 0:
             raise ConfigurationError(f"path length must be positive, got {length}")
+        if hops is not None and len(hops) != length:
+            raise ConfigurationError(f"need {length} hops, got {len(hops)}")
         self.simulator = simulator
         self.length = length
         # Path ids are allocated by the simulator, so spans from
@@ -88,27 +99,31 @@ class Path:
         registry = get_registry()
         self._metrics = registry if registry.enabled else None
 
-        loss_factory = _as_loss_factory(natural_loss, length)
-        latency = (
-            max_latency
-            if isinstance(max_latency, LatencyModel)
-            else UniformLatency(high=float(max_latency))
-        )
-        self._latency = latency
-
-        self.links: List[Link] = [
-            Link(
-                index=i,
-                simulator=simulator,
-                loss_models={
-                    Direction.FORWARD: loss_factory(i, Direction.FORWARD),
-                    Direction.REVERSE: loss_factory(i, Direction.REVERSE),
-                },
-                latency_model=latency,
-                rng=simulator.rng.stream(f"link-{i}"),
-                path_id=self.path_id,
+        if hops is None:
+            loss_factory = _as_loss_factory(natural_loss, length)
+            latency = (
+                max_latency
+                if isinstance(max_latency, LatencyModel)
+                else UniformLatency(high=float(max_latency))
             )
-            for i in range(length)
+            hops = [
+                (
+                    Wire(
+                        simulator,
+                        loss_models={
+                            direction: loss_factory(i, direction)
+                            for direction in Direction
+                        },
+                        latency_model=latency,
+                        rng=simulator.rng.stream(f"link-{i}"),
+                    ),
+                    True,
+                )
+                for i in range(length)
+            ]
+        self.links: List[Link] = [
+            Link(i, wire, path_id=self.path_id, forward_on_wire=forward)
+            for i, (wire, forward) in enumerate(hops)
         ]
 
         if clock_skews is None:
@@ -189,20 +204,19 @@ class Path:
     def schedule_in(self, delay: float, action) -> object:
         return self.simulator.schedule_in(delay, action)
 
-    @property
-    def max_link_latency(self) -> float:
-        return self._latency.maximum
-
     def rtt_bound(self, position: int) -> float:
         """Worst-case round-trip time ``r_i`` from ``F_position`` to D.
 
-        ``r_i = 2 * (d - i) * max_latency``; protocols size their
-        wait-timers with these bounds, and the §7.4 storage bounds follow
-        from them.
+        ``r_i`` is twice the sum of the remaining links' maximum
+        latencies (``2 * (d - i) * max_latency`` on a uniform path);
+        protocols size their wait-timers with these bounds, and the §7.4
+        storage bounds follow from them.
         """
         if not 0 <= position <= self.length:
             raise ConfigurationError(f"position {position} off path")
-        return 2.0 * (self.length - position) * self._latency.maximum
+        return 2.0 * sum(
+            link.max_one_way_latency for link in self.links[position:]
+        )
 
     @property
     def r0(self) -> float:
@@ -228,32 +242,9 @@ class Path:
 
     # -- ground truth -----------------------------------------------------
 
-    def wire_overhead_ratio(self) -> float:
-        """Protocol (non-data) bytes per data byte, summed over all links.
-
-        This is the on-the-wire view of Table 1's communication-overhead
-        column: every traversal of every link is weighed by packet size.
-        """
-        from repro.net.packets import PacketKind
-
-        data_bytes = 0
-        other_bytes = 0
-        for link in self.links:
-            for kind, size in link.stats.bytes_sent.items():
-                if kind is PacketKind.DATA:
-                    data_bytes += size
-                else:
-                    other_bytes += size
-        if data_bytes == 0:
-            return 0.0
-        return other_bytes / data_bytes
-
     def true_link_rates(self) -> List[float]:
         """Configured average natural loss per link (forward direction)."""
-        return [
-            self.links[i]._loss[Direction.FORWARD].average_rate
-            for i in range(self.length)
-        ]
+        return [link.natural_loss_rate for link in self.links]
 
 
 def _as_loss_factory(

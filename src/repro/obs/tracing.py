@@ -181,15 +181,15 @@ class RoundTraceCollector:
     # -- PathObserver interface --------------------------------------------
 
     def on_transmit(self, link, packet: Packet, direction: Direction) -> None:
-        self._record(link._simulator.now, link.path_id, packet, direction,
+        self._record(link.simulator.now, link.path_id, packet, direction,
                      SEND, link=link.index)
 
     def on_loss(self, link, packet: Packet, direction: Direction) -> None:
-        self._record(link._simulator.now, link.path_id, packet, direction,
+        self._record(link.simulator.now, link.path_id, packet, direction,
                      LOSS, link=link.index)
 
     def on_deliver(self, link, packet: Packet, direction: Direction) -> None:
-        self._record(link._simulator.now, link.path_id, packet, direction,
+        self._record(link.simulator.now, link.path_id, packet, direction,
                      DELIVER, link=link.index)
 
     def on_node_drop(self, node, packet: Packet, direction: Direction,

@@ -220,13 +220,13 @@ class WireProtocol:
     clock_skews:
         Optional per-node clock offsets (loose synchronization).
     path:
-        Optional pre-built path-like object to run over instead of
-        constructing a fresh linear :class:`~repro.net.path.Path` —
-        the seam mesh topologies use to run many protocol instances
-        over routes that physically share links
-        (:class:`repro.topology.mesh.RoutePath`). Mutually exclusive
-        with ``natural_loss`` and ``clock_skews`` (those describe the
-        path this constructor would otherwise build).
+        Optional pre-built :class:`~repro.net.path.Path` to run over
+        instead of constructing a fresh one with private wires — the
+        seam mesh topologies use to run many protocol instances over
+        routes whose hops share wires
+        (:meth:`repro.topology.mesh.MeshNetwork.route_path`). Mutually
+        exclusive with ``natural_loss`` and ``clock_skews`` (those
+        describe the path this constructor would otherwise build).
     """
 
     #: Registry name; subclasses override.

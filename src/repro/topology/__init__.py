@@ -8,8 +8,9 @@ package generalizes ``repro.net``'s linear :class:`~repro.net.path.Path`:
   :class:`Route` as a walk over shared links, seeded deterministic
   generators, adversary placement on links/routers);
 * :mod:`repro.topology.mesh` — N concurrent wire-protocol instances in
-  one simulator whose routes physically share link state
-  (:class:`SharedLink` / :class:`RouteLinkView` / :class:`RoutePath`);
+  one simulator whose routes are plain :class:`~repro.net.path.Path`
+  objects over shared :class:`~repro.net.link.Wire` objects
+  (:class:`MeshNetwork`);
 * :mod:`repro.topology.fusion` — the network-level identifier: per-path
   verdict evidence fused into per-link posteriors, recorded through the
   evidence ledger (``fusion`` entries).
@@ -36,7 +37,7 @@ from repro.topology.graph import (
     random_regular_topology,
     tree_topology,
 )
-from repro.topology.mesh import MeshNetwork, RoutePath, SharedLink
+from repro.topology.mesh import MeshNetwork
 
 __all__ = [
     "Topology",
@@ -55,6 +56,4 @@ __all__ = [
     "FusionResult",
     "fuse_route_evidence",
     "MeshNetwork",
-    "SharedLink",
-    "RoutePath",
 ]

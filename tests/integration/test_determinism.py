@@ -8,7 +8,14 @@ stream derivations break reproducibility of every recorded experiment, and
 should fail loudly here.
 """
 
+import json
+
+from repro.core.params import ProtocolParams
+from repro.crypto.hashing import hash_bytes
 from repro.net.simulator import Simulator
+from repro.obs.tracing import RoundTraceCollector, using_collector
+from repro.topology.graph import line_topology
+from repro.topology.mesh import MeshNetwork
 from repro.workloads.scenarios import paper_scenario
 
 
@@ -72,13 +79,55 @@ class TestGoldenValues:
     numbers move with them)."""
 
     def test_fullack_golden_scores(self):
-        scores, rounds = run_scores("full-ack", seed=2026, count=800)
-        assert rounds == 800
-        assert sum(scores) > 0
-        # The exact vector for this seed, pinned:
-        first = run_scores("full-ack", seed=2026, count=800)
-        second = run_scores("full-ack", seed=2026, count=800)
-        assert first == second
+        # The exact vector for this seed, pinned across commits.
+        assert run_scores("full-ack", seed=2026, count=800) == (
+            [14, 17, 20, 19, 39, 4],
+            800,
+        )
+
+    def test_mesh_golden_run(self):
+        """Two full-ack routes on a 3-link line share links 1 and 2; link
+        2 (the last hop of both) is compromised. Pins per-route
+        estimates, the shared adversary's drops, per-wire transmission
+        counts, and every span, so a change to the mesh wire layer's
+        draw order, FIFO, or hook attribution fails here."""
+        topology = line_topology(3)
+        topology.compromise_link(2, 0.2)
+        routes = [
+            topology.shortest_route(0, 3, route_id=0),
+            topology.shortest_route(1, 3, route_id=1),
+        ]
+        collector = RoundTraceCollector()
+        with using_collector(collector):
+            simulator = Simulator(seed=2026)
+            mesh = MeshNetwork(simulator, topology, natural_loss=0.01)
+            protocols = [
+                mesh.instantiate(
+                    "full-ack",
+                    route,
+                    ProtocolParams(
+                        path_length=route.length, natural_loss=0.01, alpha=0.2
+                    ),
+                )
+                for route in routes
+            ]
+            mesh.run_traffic(count=300, rate=200.0)
+        assert [[e.hex() for e in p.estimates()] for p in protocols] == [
+            ["0x1.7e4b17e4b17e5p-6", "0x1.b4e81b4e81b4fp-6",
+             "0x1.d70a3d70a3d71p-3"],
+            ["0x1.b4e81b4e81b4fp-7", "0x1.eb851eb851eb8p-3"],
+        ]
+        assert mesh.total_adversarial_drops() == 270
+        assert {
+            link_id: wire.stats.total_transmissions()
+            for link_id, wire in mesh.links.items()
+        } == {0: 715, 1: 1414, 2: 1369}
+        spans = json.dumps(
+            [span.to_dict() for span in collector.spans()], sort_keys=True
+        )
+        assert hash_bytes(spans.encode()).hex() == (
+            "37ae8a1f82e8c7eb76eba008b5aaeb1ded7d61d65f1f57bffc1f78ed4400c392"
+        )
 
     def test_crypto_streams_stable(self):
         """Key derivation must be stable across runs and machines."""

@@ -135,8 +135,8 @@ class TestSharedLinkPhysics:
         # Link 0 is private to route 0; links 1 and 2 carry both routes.
         private = mesh.links[0].stats.total_transmissions()
         shared = mesh.links[1].stats.total_transmissions()
-        assert len(mesh.links[1].views) == 2
-        assert len(mesh.links[0].views) == 1
+        assert len(mesh.links[1].links) == 2
+        assert len(mesh.links[0].links) == 1
         assert shared > private
 
     def test_adversary_damages_every_crossing_route(self):
@@ -168,7 +168,7 @@ class TestSharedLinkPhysics:
         assert pb.links[0].physical_direction(Direction.FORWARD) is (
             Direction.REVERSE
         )
-        assert pa.links[1].shared is pb.links[0].shared
+        assert pa.links[1].wire is pb.links[0].wire
 
     def test_run_traffic_requires_instances(self):
         simulator = Simulator(seed=1)
