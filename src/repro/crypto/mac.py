@@ -23,8 +23,12 @@ from repro.constants import MAC_SIZE
 from repro.obs.registry import TIME_BUCKETS, get_registry
 
 _BLOCK_SIZE = 64  # SHA-256 block size in bytes.
-_IPAD = bytes(0x36 for _ in range(_BLOCK_SIZE))
-_OPAD = bytes(0x5C for _ in range(_BLOCK_SIZE))
+_MAX_TAG = 32  # SHA-256 digest size in bytes.
+
+#: ``key.translate(table)`` XORs every key byte with the RFC 2104 pad byte
+#: in one C-level pass.
+_IPAD_TABLE = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD_TABLE = bytes(byte ^ 0x5C for byte in range(256))
 
 #: (registry, calls counter, seconds histogram) — rebound when the active
 #: registry changes so instruments always land in the current one.
@@ -41,8 +45,14 @@ def _obs_instruments(registry):
     return calls, seconds
 
 
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+def hmac_pads(key: bytes) -> tuple[bytes, bytes]:
+    """The ``(K' xor ipad, K' xor opad)`` block pair that keys the inner
+    and outer hash passes of HMAC-SHA256 under ``key``."""
+    key = bytes(key)
+    if len(key) > _BLOCK_SIZE:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK_SIZE, b"\x00")
+    return key.translate(_IPAD_TABLE), key.translate(_OPAD_TABLE)
 
 
 def _hmac_sha256(key: bytes, message: bytes) -> bytes:
@@ -50,12 +60,9 @@ def _hmac_sha256(key: bytes, message: bytes) -> bytes:
         raise TypeError("key must be bytes")
     if not isinstance(message, (bytes, bytearray)):
         raise TypeError("message must be bytes")
-    key = bytes(key)
-    if len(key) > _BLOCK_SIZE:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_BLOCK_SIZE, b"\x00")
-    inner = hashlib.sha256(_xor_bytes(key, _IPAD) + bytes(message)).digest()
-    return hashlib.sha256(_xor_bytes(key, _OPAD) + inner).digest()
+    inner_pad, outer_pad = hmac_pads(key)
+    inner = hashlib.sha256(inner_pad + bytes(message)).digest()
+    return hashlib.sha256(outer_pad + inner).digest()
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
@@ -78,8 +85,8 @@ def mac(key: bytes, message: bytes, size: int = MAC_SIZE) -> bytes:
     forgery probability (2^-64 for the default 8-byte tags — far below the
     false-positive rates the protocols tolerate).
     """
-    if size <= 0 or size > 32:
-        raise ValueError(f"MAC size must be in [1, 32], got {size}")
+    if size <= 0 or size > _MAX_TAG:
+        raise ValueError(f"MAC size must be in [1, {_MAX_TAG}], got {size}")
     return hmac_sha256(key, message)[:size]
 
 
@@ -88,12 +95,13 @@ def verify_mac(key: bytes, message: bytes, tag: bytes) -> bool:
 
     Comparison is constant-time in the tag length to mirror real
     implementations (irrelevant for simulation results, cheap to do right).
+    An empty tag, or one longer than an HMAC-SHA256 digest, is simply
+    invalid: a malformed tag read off the wire must count as a forgery,
+    not raise.
     """
-    if not tag:
+    if not tag or len(tag) > _MAX_TAG:
         return False
     expected = mac(key, message, size=len(tag))
-    if len(expected) != len(tag):
-        return False
     result = 0
     for x, y in zip(expected, tag):
         result |= x ^ y

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.crypto.mac import hmac_sha256
+from repro.crypto.mac import hmac_pads, hmac_sha256
 from repro.obs.registry import get_registry
-
-_HMAC_BLOCK = 64  # SHA-256 block size in bytes.
 
 
 class PRF:
@@ -114,13 +112,14 @@ class PRF:
 class HotPRF:
     """Hot-loop evaluator producing bit-identical :class:`PRF` outputs.
 
-    ``repro.crypto.mac`` builds HMAC-SHA256 from scratch per call (pure
-    Python key padding and XOR), which dominates profiles when a PRF is
+    ``repro.crypto.mac`` builds HMAC-SHA256 from scratch per call (key
+    padding plus both hash passes), which dominates profiles when a PRF is
     evaluated per packet — e.g. statfl's per-node sketch coins or
     PAAI-1's secure sampling in the fast-path replay. The RFC 2104
     construction keys both hash passes with data that depends only on
     the key (and here also the domain-separation prefix), so this class
-    precomputes the inner/outer digest states once and pays two C-level
+    takes the pads from :func:`repro.crypto.mac.hmac_pads`, precomputes
+    the inner/outer digest states once and pays two C-level
     ``copy()``/``update()`` rounds per evaluation. Equality with
     :meth:`PRF.fraction`/:meth:`PRF.bernoulli` is pinned by the test
     suite.
@@ -137,14 +136,9 @@ class HotPRF:
     _SCALE = float(1 << 64)
 
     def __init__(self, key: bytes, prefix: bytes = b"") -> None:
-        key = bytes(key)
-        if len(key) > _HMAC_BLOCK:
-            key = hashlib.sha256(key).digest()
-        key = key.ljust(_HMAC_BLOCK, b"\x00")
-        self._inner = hashlib.sha256(
-            bytes(byte ^ 0x36 for byte in key) + prefix
-        )
-        self._outer = hashlib.sha256(bytes(byte ^ 0x5C for byte in key))
+        inner_pad, outer_pad = hmac_pads(key)
+        self._inner = hashlib.sha256(inner_pad + prefix)
+        self._outer = hashlib.sha256(outer_pad)
 
     def digest(self, data: bytes) -> bytes:
         """Raw 32-byte output, equal to ``PRF.digest`` for the same

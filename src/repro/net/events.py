@@ -4,43 +4,45 @@ A classic binary-heap future event list. Events scheduled for the same
 instant fire in insertion order (a monotone sequence number breaks ties),
 which keeps runs deterministic — essential for reproducing packet-level
 traces from a seed.
+
+Each heap entry is a list ``[time, sequence, action, cancelled]``, so
+``heapq`` orders entries with the C-level list comparison. The sequence
+number is unique per queue, so a comparison is always settled by
+``(time, sequence)`` and never reaches the action.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 from repro.exceptions import SchedulingError
 
-
-@dataclass(order=True)
-class _Entry:
-    time: float
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+# Heap entry slots.
+_TIME = 0
+_CANCELLED = 3
 
 
 class EventHandle:
     """Handle returned by :meth:`EventQueue.schedule`; supports cancel()."""
 
-    def __init__(self, entry: _Entry) -> None:
+    __slots__ = ("_entry",)
+
+    def __init__(self, entry: list) -> None:
         self._entry = entry
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already fired."""
-        self._entry.cancelled = True
+        self._entry[_CANCELLED] = True
 
     @property
     def cancelled(self) -> bool:
-        return self._entry.cancelled
+        return self._entry[_CANCELLED]
 
     @property
     def time(self) -> float:
-        return self._entry.time
+        return self._entry[_TIME]
 
 
 class EventQueue:
@@ -51,7 +53,7 @@ class EventQueue:
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry.cancelled)
+        return sum(1 for entry in self._heap if not entry[_CANCELLED])
 
     def size(self) -> int:
         """O(1) heap size *including* cancelled entries.
@@ -63,25 +65,28 @@ class EventQueue:
 
     def schedule(self, time: float, action: Callable[[], None]) -> EventHandle:
         """Enqueue ``action`` to fire at absolute ``time``."""
-        if time < 0:
-            raise SchedulingError(f"cannot schedule at negative time {time}")
-        entry = _Entry(time=time, sequence=next(self._counter), action=action)
+        # Written so that NaN fails too: a NaN entry would break heap order.
+        if not time >= 0:
+            raise SchedulingError(f"cannot schedule at negative or NaN time {time}")
+        entry = [time, next(self._counter), action, False]
         heapq.heappush(self._heap, entry)
         return EventHandle(entry)
 
     def pop(self) -> Optional[Tuple[float, Callable[[], None]]]:
         """Remove and return the next live ``(time, action)``, or None."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if not entry.cancelled:
-                return entry.time, entry.action
+        heap = self._heap
+        while heap:
+            time, _, action, cancelled = heapq.heappop(heap)
+            if not cancelled:
+                return time, action
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event without removing it, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][_CANCELLED]:
+            heapq.heappop(heap)
+        return heap[0][_TIME] if heap else None
 
     def clear(self) -> None:
         """Drop all pending events."""

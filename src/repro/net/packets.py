@@ -28,12 +28,21 @@ class PacketKind(enum.Enum):
     PROBE = "probe"
     ACK = "ack"
 
+    # Members are singletons compared by identity, so an identity hash is
+    # consistent with equality, and it runs in C; Enum's default hashes
+    # the name in Python on every ``(kind, direction)`` dict lookup on the
+    # per-packet path. Neither hash is stable across processes, so no
+    # output may depend on it.
+    __hash__ = object.__hash__
+
 
 class Direction(enum.Enum):
     """Travel direction on the (symmetric) path."""
 
     FORWARD = "forward"  # toward the destination
     REVERSE = "reverse"  # toward the source
+
+    __hash__ = object.__hash__  # See PacketKind.
 
 
 @dataclass

@@ -230,6 +230,21 @@ class TestDegradedAckHandling:
         # The round is still pending — a forged ack must not settle it.
         assert packet.identifier in protocol.source.pending
 
+    @pytest.mark.parametrize("name", ["full-ack", "paai2"])
+    def test_oversized_ack_report_counts_as_forgery(self, name):
+        """A report longer than any MAC tag must not escape ``deliver``
+        as a ValueError: it is a forged ack like any other."""
+        simulator, protocol = self._protocol(name)
+        packet = protocol.source.send_data()
+        forged = AckPacket.create(
+            identifier=packet.identifier,
+            report=b"\xff" * 40,
+            origin=protocol.params.path_length,
+        )
+        protocol.source.deliver(forged, Direction.REVERSE)
+        assert protocol.source.fault_counts["ack_mac_failure"] == 1
+        assert packet.identifier in protocol.source.pending
+
     def test_replayed_ack_never_raises_or_double_counts(self):
         simulator, protocol = self._protocol("full-ack")
         protocol.run_traffic(count=20, rate=1000.0)

@@ -42,6 +42,55 @@ class TestEventOrdering:
         simulator.run()
         assert observed == sorted(observed)
 
+    @settings(max_examples=200)
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2**-40, 3.0]),
+                st.booleans(),  # cancelled before it fires
+                st.booleans(),  # cancelled after it fires
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    def test_pop_order_len_and_handles_under_ties_and_cancels(self, events):
+        """Pops follow ``(time, insertion order)`` over the live events;
+        ``len()`` counts only live events; handles read their time and
+        cancellation. Cancelling a fired event changes nothing queued."""
+        queue = EventQueue()
+        fired = []
+        handles = [
+            queue.schedule(time, lambda index=index: fired.append(index))
+            for index, (time, _, _) in enumerate(events)
+        ]
+        for handle, (_, before, _) in zip(handles, events):
+            if before:
+                handle.cancel()
+        live = [i for i, (_, before, _) in enumerate(events) if not before]
+        assert len(queue) == len(live)
+        assert queue.size() == len(events)
+        for handle, (time, before, _) in zip(handles, events):
+            assert handle.time == time
+            assert handle.cancelled is before
+
+        expected = sorted(live, key=lambda i: (events[i][0], i))
+        while (item := queue.pop()) is not None:
+            time, action = item
+            action()
+            index = fired[-1]
+            assert time == events[index][0]
+            assert len(queue) == len(live) - len(fired)
+            if events[index][2]:
+                handles[index].cancel()
+                assert handles[index].cancelled
+                assert len(queue) == len(live) - len(fired)
+        assert fired == expected
+        assert len(queue) == 0
+        assert queue.peek_time() is None
+        for handle, (time, _, _) in zip(handles, events):
+            assert handle.time == time
+
 
 class TestFifoLinks:
     @settings(max_examples=25)

@@ -58,6 +58,45 @@ class TestEventQueue:
         with pytest.raises(SchedulingError):
             EventQueue().schedule(-1.0, lambda: None)
 
+    def test_nan_time_rejected(self):
+        # A NaN entry compares false both ways and silently breaks heap
+        # order for every later event.
+        queue = EventQueue()
+        queue.schedule(2.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            queue.schedule(float("nan"), lambda: None)
+        assert queue.size() == 1
+        assert queue.peek_time() == 2.0
+
+    def test_handle_reports_time_and_cancellation(self):
+        queue = EventQueue()
+        handle = queue.schedule(1.5, lambda: None)
+        assert handle.time == 1.5
+        assert not handle.cancelled
+        handle.cancel()
+        assert handle.cancelled
+        assert handle.time == 1.5
+        assert not hasattr(handle, "__dict__")
+
+    def test_ties_never_compare_actions(self):
+        # Uncomparable actions at the same instant: ordering is settled by
+        # the insertion sequence alone.
+        class Opaque:
+            def __call__(self):
+                pass
+
+            def __lt__(self, other):
+                raise AssertionError("heap compared two actions")
+
+        queue = EventQueue()
+        actions = [Opaque() for _ in range(20)]
+        for action in actions:
+            queue.schedule(1.0, action)
+        popped = []
+        while (item := queue.pop()) is not None:
+            popped.append(item[1])
+        assert popped == actions
+
     def test_empty_pop(self):
         assert EventQueue().pop() is None
         assert EventQueue().peek_time() is None

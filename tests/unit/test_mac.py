@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.crypto.mac import hmac_sha256, mac, verify_mac
+from repro.crypto.mac import hmac_pads, hmac_sha256, mac, verify_mac
 
 
 class TestHmacRfc4231Vectors:
@@ -77,6 +77,19 @@ class TestHmacAgainstStdlib:
         assert hmac_sha256(key, msg) == expected
 
 
+class TestHmacPads:
+    def test_pads_are_the_rfc2104_xor_of_the_padded_key(self):
+        for key in (b"", b"Jefe", bytes(range(64)), bytes(range(200))):
+            block = hashlib.sha256(key).digest() if len(key) > 64 else key
+            block = block.ljust(64, b"\x00")
+            inner, outer = hmac_pads(key)
+            assert inner == bytes(b ^ 0x36 for b in block)
+            assert outer == bytes(b ^ 0x5C for b in block)
+
+    def test_bytearray_key_matches_bytes_key(self):
+        assert hmac_pads(bytearray(b"key")) == hmac_pads(b"key")
+
+
 class TestTruncatedMac:
     def test_default_size(self):
         tag = mac(b"key", b"message")
@@ -104,6 +117,16 @@ class TestTruncatedMac:
 
     def test_verify_rejects_empty_tag(self):
         assert not verify_mac(b"key", b"message", b"")
+
+    @pytest.mark.parametrize("tag", [
+        b"x" * 33,
+        b"x" * 40,
+        hmac_sha256(b"k", b"m") + b"\x00",
+    ], ids=["33", "40", "digest+1"])
+    def test_verify_rejects_oversized_tag_without_raising(self, tag):
+        # A tag longer than the digest cannot be a truncated HMAC; off the
+        # wire it is a forgery, not a caller error.
+        assert not verify_mac(b"k", b"m", tag)
 
     def test_prefix_property_of_truncation(self):
         # A shorter truncated tag is a prefix of a longer one, so verification

@@ -1,5 +1,9 @@
 """Tests for the packet taxonomy."""
 
+import pickle
+
+import pytest
+
 from repro.constants import DEFAULT_PACKET_SIZE, IDENTIFIER_SIZE
 from repro.crypto.hashing import packet_identifier
 from repro.net.packets import (
@@ -67,3 +71,20 @@ class TestDirection:
     def test_members(self):
         assert Direction.FORWARD is not Direction.REVERSE
         assert {d.value for d in Direction} == {"forward", "reverse"}
+
+
+class TestEnumIdentity:
+    MEMBERS = list(PacketKind) + list(Direction)
+
+    @pytest.mark.parametrize("member", MEMBERS, ids=lambda m: m.name)
+    def test_pickle_round_trip_is_the_same_usable_key(self, member):
+        restored = pickle.loads(pickle.dumps(member))
+        assert restored is member
+        table = {m: m.value for m in self.MEMBERS}
+        assert table[restored] == member.value
+        assert {(member, member): True}[restored, restored]
+
+    def test_members_hash_by_identity(self):
+        for member in self.MEMBERS:
+            assert hash(member) == object.__hash__(member)
+        assert len(set(self.MEMBERS)) == len(self.MEMBERS)
