@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +65,66 @@ def default_checkpoints(horizon: int, points: int = 30) -> List[int]:
         np.geomspace(10, horizon, num=points).astype(np.int64)
     )
     return [int(x) for x in raw]
+
+
+def resolve_checkpoints(
+    horizon: int, checkpoints: Optional[Sequence[int]] = None
+) -> List[int]:
+    """The checkpoint grid of a ``horizon``-packet run: ``checkpoints``
+    as given, or :func:`default_checkpoints` when None. An empty,
+    non-ascending, or beyond-horizon list is a configuration error."""
+    if checkpoints is None:
+        return default_checkpoints(horizon)
+    resolved = list(checkpoints)
+    if not resolved:
+        raise ConfigurationError("checkpoints must not be empty")
+    if sorted(resolved) != resolved:
+        raise ConfigurationError("checkpoints must be ascending")
+    if resolved[-1] > horizon:
+        raise ConfigurationError("checkpoints exceed horizon")
+    return resolved
+
+
+def model_trajectory(
+    model: models.OutcomeModel,
+    rng: np.random.Generator,
+    checkpoints: Sequence[int],
+    runs: int,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Score ``runs`` independent runs of ``model`` up to each checkpoint.
+
+    Yields ``(estimates (runs, d), rounds (runs,))`` per checkpoint.
+    Each inter-checkpoint block draws one multinomial over the outcome
+    categories per run; sampled protocols first thin the block's packets
+    to observation rounds with a binomial (a run that draws no rounds
+    in a block consumes no multinomial draws).
+    """
+    d = model.path_length
+    pvals = model.probabilities
+    score_matrix = model.score_matrix()  # (d+1, d)
+    scores = np.zeros((runs, d), dtype=np.int64)
+    rounds = np.zeros(runs, dtype=np.int64)
+    previous = 0
+    for checkpoint in checkpoints:
+        block = checkpoint - previous
+        previous = checkpoint
+        if block > 0:
+            if model.rounds_per_packet >= 1.0:
+                # A scalar trial count is several times cheaper per call
+                # than an array of equal counts, with the same draws.
+                counts = rng.multinomial(block, pvals, size=runs)
+                rounds = rounds + block
+            else:
+                block_rounds = rng.binomial(
+                    block, model.rounds_per_packet, size=runs
+                )
+                counts = rng.multinomial(block_rounds, pvals)
+                rounds = rounds + block_rounds
+            scores += (counts @ score_matrix).astype(np.int64)
+        estimates = DetectionExperiment._estimates(
+            scores, rounds, model.kind, d
+        )
+        yield estimates, rounds
 
 
 @dataclass
@@ -192,14 +252,7 @@ class DetectionExperiment:
         self.scenario = scenario
         self.runs = runs
         self.horizon = horizon
-        self.checkpoints = (
-            list(checkpoints) if checkpoints is not None
-            else default_checkpoints(horizon)
-        )
-        if sorted(self.checkpoints) != self.checkpoints:
-            raise ConfigurationError("checkpoints must be ascending")
-        if self.checkpoints[-1] > horizon:
-            raise ConfigurationError("checkpoints exceed horizon")
+        self.checkpoints = resolve_checkpoints(horizon, checkpoints)
         self.seed = seed
         self.fl_sampling = fl_sampling
         self.fl_interval = fl_interval
@@ -328,38 +381,19 @@ class DetectionExperiment:
 
     def _run_modelled(self):
         params = self.scenario.params
-        d = params.path_length
-        rng = np.random.default_rng(self.seed)
         f, b_ack, b_report = self.scenario.model_rates()
         model = models.build_model(self.protocol, f, b_ack, b_report, params)
         thresholds = np.asarray(
-            models.calibrated_thresholds(self.protocol, params)
+            models.decision_thresholds(self.protocol, params)
         )
-        pvals = model.probabilities
-        score_matrix = model.score_matrix()  # (d+1, d)
-
-        scores = np.zeros((self.runs, d), dtype=np.int64)
-        rounds = np.zeros(self.runs, dtype=np.int64)
         convictions = np.zeros(
-            (len(self.checkpoints), self.runs, d), dtype=bool
+            (len(self.checkpoints), self.runs, params.path_length),
+            dtype=bool,
         )
-        estimates = np.zeros((self.runs, d))
-
-        previous = 0
-        for index, checkpoint in enumerate(self.checkpoints):
-            block = checkpoint - previous
-            previous = checkpoint
-            if block > 0:
-                if model.rounds_per_packet >= 1.0:
-                    block_rounds = np.full(self.runs, block, dtype=np.int64)
-                else:
-                    block_rounds = rng.binomial(
-                        block, model.rounds_per_packet, size=self.runs
-                    )
-                counts = _grouped_multinomial(rng, block_rounds, pvals)
-                scores += (counts @ score_matrix).astype(np.int64)
-                rounds += block_rounds
-            estimates = self._estimates(scores, rounds, model.kind, d)
+        trajectory = model_trajectory(
+            model, np.random.default_rng(self.seed), self.checkpoints, self.runs
+        )
+        for index, (estimates, _) in enumerate(trajectory):
             convictions[index] = estimates > thresholds[None, :]
         return convictions, estimates
 
@@ -385,9 +419,7 @@ class DetectionExperiment:
         d = params.path_length
         rng = np.random.default_rng(self.seed)
         forward = np.asarray(self.scenario.forward_link_rates())
-        thresholds = np.asarray(
-            models.calibrated_thresholds("statfl", params)
-        )
+        thresholds = np.asarray(models.decision_thresholds("statfl", params))
         # Cumulative arrivals per node 0..d and sampled-counter values.
         arrivals = np.zeros((self.runs, d + 1), dtype=np.int64)
         counters = np.zeros((self.runs, d), dtype=np.int64)  # nodes 1..d
@@ -463,12 +495,3 @@ def _run_detection_shard(payload):
         return convictions, estimates, [], []
     return shard._run_wire(runs, run_offset=run_offset)
 
-
-def _grouped_multinomial(rng, trials, pvals):
-    """Draw one multinomial per run with per-run trial counts.
-
-    numpy's ``Generator.multinomial`` broadcasts over a trials array, so
-    this is a thin wrapper kept for clarity (and a single place to change
-    the strategy if the dependency floor moves).
-    """
-    return rng.multinomial(trials, pvals)

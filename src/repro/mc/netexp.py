@@ -7,12 +7,14 @@ physically share topology links, and the operator wants *per-link*
 verdicts for the whole network. This module runs that experiment with
 the closed-form outcome models:
 
-1. Each route gets an independent seeded score trajectory from
-   :mod:`repro.protocols.models`, with **heterogeneous per-hop rates**:
-   hop ``i`` of a route crossing topology link ``L`` composes the
-   network's natural loss with ``L``'s adversarial rate exactly like
-   :meth:`repro.workloads.scenarios.Scenario.model_rates` does
-   (forward data/probes and reverse acks adversarial, report acks
+1. Each route gets an independent seeded score trajectory: a one-run
+   :func:`repro.mc.detection.model_trajectory`, the same loop that
+   drives the single-path model backend, over the route's
+   :mod:`repro.protocols.models` outcome model with **heterogeneous
+   per-hop rates**: hop ``i`` of a route crossing topology link ``L``
+   composes the network's natural loss with ``L``'s adversarial rate
+   exactly like :meth:`repro.workloads.scenarios.Scenario.model_rates`
+   does (forward data/probes and reverse acks adversarial, report acks
    natural — the paper's tactic (b) adversary).
 2. At every checkpoint the per-route (estimate − threshold) margins are
    pooled per topology link by :func:`repro.topology.fusion.fuse_route_evidence`,
@@ -42,7 +44,7 @@ import numpy as np
 
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
-from repro.mc.detection import DetectionExperiment, default_checkpoints
+from repro.mc.detection import model_trajectory, resolve_checkpoints
 from repro.metrics.confusion import FpFnCurve, curve_from_convictions
 from repro.obs.ledger import get_ledger
 from repro.obs.profile import phase as profile_phase
@@ -248,13 +250,7 @@ class NetworkExperiment:
         self.protocol = protocol
         self.rho = rho
         self.horizon = horizon
-        self.checkpoints = (
-            list(checkpoints)
-            if checkpoints is not None
-            else default_checkpoints(horizon)
-        )
-        if sorted(self.checkpoints) != self.checkpoints:
-            raise ConfigurationError("checkpoints must be ascending")
+        self.checkpoints = resolve_checkpoints(horizon, checkpoints)
         self.seed = seed
         if shards is None:
             shards = max(1, (len(self.routes) + 7) // 8)
@@ -484,65 +480,37 @@ class NetworkExperiment:
             ).inc(len(links))
 
 
-def _route_trajectory(protocol, rho, checkpoints, links, betas, seed):
-    """One route's score trajectory under the closed-form outcome model.
-
-    Returns ``(thresholds, estimates (C, d), rounds (C,))``. Mirrors
-    :meth:`DetectionExperiment._run_modelled` for a single run, but with
-    per-hop rates composed from the topology instead of a homogeneous
-    scenario.
-    """
-    d = len(links)
-    params = ProtocolParams(path_length=d, natural_loss=rho)
-    f = [1.0 - (1.0 - rho) * (1.0 - beta) for beta in betas]
-    b_ack = list(f)
-    b_report = [rho] * d
-    model = models.build_model(protocol, f, b_ack, b_report, params)
-    thresholds = models.calibrated_thresholds(protocol, params)
-    rng = np.random.default_rng(seed)
-    pvals = model.probabilities
-    score_matrix = model.score_matrix()
-
-    scores = np.zeros((1, d), dtype=np.int64)
-    rounds = np.int64(0)
-    estimates = np.zeros((len(checkpoints), d))
-    round_track = np.zeros(len(checkpoints), dtype=np.int64)
-    previous = 0
-    for index, checkpoint in enumerate(checkpoints):
-        block = checkpoint - previous
-        previous = checkpoint
-        if block > 0:
-            if model.rounds_per_packet >= 1.0:
-                block_rounds = block
-            else:
-                block_rounds = int(
-                    rng.binomial(block, model.rounds_per_packet)
-                )
-            if block_rounds > 0:
-                counts = rng.multinomial(block_rounds, pvals)
-                scores += (counts[None, :] @ score_matrix).astype(np.int64)
-                rounds += block_rounds
-        estimates[index] = DetectionExperiment._estimates(
-            scores, np.asarray([rounds]), model.kind, d
-        )[0]
-        round_track[index] = rounds
-    return thresholds, estimates, round_track
-
-
 def _run_netexp_shard(payload):
     """Worker: trajectories for one contiguous chunk of routes.
 
     Module-level so payloads pickle by reference. Each route's seed came
     pre-derived from the root seed and absolute route index, so the
-    result is independent of how routes were chunked.
+    result is independent of how routes were chunked. A route is a
+    one-run :func:`~repro.mc.detection.model_trajectory` whose per-hop
+    rates compose ``rho`` with each topology link's adversarial rate;
+    returns ``(index, thresholds, estimates (C, d), rounds (C,))`` per
+    route.
     """
     protocol, rho, checkpoints, specs = payload
     results = []
     for index, links, betas, seed in specs:
-        thresholds, estimates, rounds = _route_trajectory(
-            protocol, rho, checkpoints, links, betas, seed
+        d = len(links)
+        params = ProtocolParams(path_length=d, natural_loss=rho)
+        f = [1.0 - (1.0 - rho) * (1.0 - beta) for beta in betas]
+        model = models.build_model(protocol, f, f, [rho] * d, params)
+        trajectory = list(
+            model_trajectory(
+                model, np.random.default_rng(seed), checkpoints, runs=1
+            )
         )
-        results.append((index, thresholds, estimates, rounds))
+        results.append(
+            (
+                index,
+                models.decision_thresholds(protocol, params),
+                np.stack([estimates[0] for estimates, _ in trajectory]),
+                np.array([rounds[0] for _, rounds in trajectory]),
+            )
+        )
     return results
 
 

@@ -18,13 +18,14 @@ simulator:
 * :mod:`repro.net.node` — node runtime: packet store, timers, forwarding;
 * :mod:`repro.net.path` — the linear path topology;
 * :mod:`repro.net.simulator` — the engine tying it together;
-* :mod:`repro.net.stats` — counters for packets and overhead;
-* :mod:`repro.net.trace` — packet tracing over the public observer API.
+* :mod:`repro.net.stats` — counters for packets and overhead.
 
 Observability: links accept :class:`~repro.net.link.LinkObserver`
 listeners and paths accept :class:`~repro.net.path.PathObserver`
 observers (link events plus adversarial node drops) — the supported hook
-surface that :mod:`repro.net.trace` and :mod:`repro.obs` build on.
+surface that :mod:`repro.obs` builds on; its
+:class:`~repro.obs.tracing.RoundTraceCollector` groups those events into
+per-round spans with a readable :meth:`~repro.obs.tracing.RoundSpan.story`.
 """
 
 from repro.net.clock import NodeClock, SimClock
@@ -45,7 +46,6 @@ from repro.net.path import Path, PathObserver
 from repro.net.rng import RngFactory
 from repro.net.simulator import Simulator
 from repro.net.stats import LinkStats, PathStats
-from repro.net.trace import PacketTracer, TraceEvent
 
 __all__ = [
     "SimClock",
@@ -69,8 +69,6 @@ __all__ = [
     "AckPacket",
     "Path",
     "PathObserver",
-    "PacketTracer",
-    "TraceEvent",
     "RngFactory",
     "Simulator",
     "LinkStats",

@@ -153,15 +153,6 @@ def _protocol_kwargs(request: DetectionRequest) -> dict:
     return {}
 
 
-def decision_thresholds(protocol_name: str, params) -> List[float]:
-    """Per-link conviction thresholds, mirroring ``WireProtocol``."""
-    if params.decision_threshold is not None:
-        return [params.decision_threshold] * params.path_length
-    from repro.protocols.models import calibrated_thresholds
-
-    return calibrated_thresholds(protocol_name, params)
-
-
 class RunLedgerScribe:
     """Emits one wire run's evidence chain into the active ledger.
 

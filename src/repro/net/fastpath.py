@@ -62,13 +62,13 @@ from repro.net.backend import (
     EventBackend,
     RunLedgerScribe,
     SimulationBackend,
-    decision_thresholds,
     run_seed,
     wire_send_interval,
 )
 from repro.net.rng import RngFactory
 from repro.obs.profile import phase as profile_phase
 from repro.obs.registry import CounterBatch, metrics_enabled
+from repro.protocols.models import decision_thresholds
 
 #: Doubles fetched per vectorized refill of a :class:`DrawStream`.
 BLOCK = 4096

@@ -9,7 +9,11 @@ that came back, and any natural loss or adversarial drop along the way.
 (:meth:`repro.net.path.Path.add_observer`) and groups every link and node
 event by packet identifier into one :class:`RoundSpan` per round. Spans
 export as JSONL — one JSON object per line, one line per round — so large
-traces stream instead of accumulating a single document.
+traces stream instead of accumulating a single document — and render as
+a human-readable per-event :meth:`RoundSpan.story` for debugging.
+Attaching is idempotent (a path never registers the same observer
+twice), and :meth:`RoundTraceCollector.detach` stops recording while
+keeping the spans already collected.
 
 A collector can be activated process-wide (:func:`set_collector` /
 :func:`using_collector`); paths constructed while a collector is active
@@ -44,6 +48,13 @@ DROP = "drop"  # adversarial drop at a node
 KIND_DATA = "data"
 KIND_PROBE = "probe"
 KIND_ACK = "ack"
+
+
+def _location(event: dict) -> str:
+    """Where a span event happened: link ``l<i>`` or dropping node ``F<i>``."""
+    if event["link"] is not None:
+        return f"l{event['link']}"
+    return f"F{event['node']}"
 
 
 @dataclass
@@ -124,13 +135,24 @@ class RoundSpan:
             return "delivered"
         drops = [e for e in self.events if e["kind"] in (LOSS, DROP)]
         if drops:
-            first = drops[0]
-            where = (
-                f"l{first['link']}" if first["link"] is not None
-                else f"F{first['node']}"
-            )
-            return f"lost@{where}"
+            return f"lost@{_location(drops[0])}"
         return "in-flight"
+
+    def story(self) -> str:
+        """Human-readable life of the round, one line per event in time
+        order — the debugging view of "where did this round go wrong?"."""
+        lines = [
+            f"round #{self.sequence} on path {self.path_id}: "
+            f"{self.outcome()}"
+        ]
+        for event in self.events:
+            arrow = "->" if event["direction"] == "forward" else "<-"
+            report = " (report)" if event["report"] else ""
+            lines.append(
+                f"  t={event['t'] * 1000:9.3f}ms {_location(event)} {arrow} "
+                f"{event['packet']:<5} {event['kind']}{report}"
+            )
+        return "\n".join(lines)
 
     def to_dict(self) -> dict:
         return {
@@ -153,7 +175,7 @@ class RoundTraceCollector:
     ----------
     capacity:
         Maximum retained spans; the oldest span is evicted beyond it, so
-        long runs stay bounded (like the tracer's ring buffer).
+        long runs stay bounded.
 
     The collector implements the :class:`repro.net.path.PathObserver`
     interface and can be attached to any number of paths (spans carry the

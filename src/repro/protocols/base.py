@@ -344,12 +344,10 @@ class WireProtocol:
         plus the Hoeffding midpoint margin ``epsilon/2`` (see
         :mod:`repro.protocols.models`).
         """
-        if self.params.decision_threshold is not None:
-            return [self.params.decision_threshold] * self.params.path_length
         if self._thresholds is None:
-            from repro.protocols.models import calibrated_thresholds
+            from repro.protocols.models import decision_thresholds
 
-            self._thresholds = calibrated_thresholds(self.name, self.params)
+            self._thresholds = decision_thresholds(self.name, self.params)
         return self._thresholds
 
     #: Variance correction for confidence intervals: 1 for direct blame

@@ -402,3 +402,15 @@ def calibrated_thresholds(name: str, params: ProtocolParams) -> List[float]:
         malicious = malicious_estimates(name, params, link)[link]
         thresholds.append((natural[link] + malicious) / 2.0)
     return thresholds
+
+
+def decision_thresholds(name: str, params: ProtocolParams) -> List[float]:
+    """Per-link conviction thresholds: the one policy every engine uses.
+
+    An explicit ``params.decision_threshold`` wins (applied to every
+    link); otherwise each link gets its :func:`calibrated_thresholds`
+    value.
+    """
+    if params.decision_threshold is not None:
+        return [params.decision_threshold] * params.path_length
+    return calibrated_thresholds(name, params)

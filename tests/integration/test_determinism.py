@@ -14,7 +14,12 @@ from repro.core.params import ProtocolParams
 from repro.crypto.hashing import hash_bytes
 from repro.net.simulator import Simulator
 from repro.obs.tracing import RoundTraceCollector, using_collector
-from repro.topology.graph import line_topology
+from repro.topology.graph import (
+    fat_tree_topology,
+    generate_routes,
+    line_topology,
+    most_shared_links,
+)
 from repro.topology.mesh import MeshNetwork
 from repro.workloads.scenarios import paper_scenario
 
@@ -127,6 +132,65 @@ class TestGoldenValues:
         )
         assert hash_bytes(spans.encode()).hex() == (
             "37ae8a1f82e8c7eb76eba008b5aaeb1ded7d61d65f1f57bffc1f78ed4400c392"
+        )
+
+    def test_model_backend_golden_digest(self):
+        """The closed-form model backend's convictions and final
+        estimates for five protocols at a fixed seed over two shards.
+        Guards the shared model trajectory loop's draw order."""
+        from repro.mc.detection import DetectionExperiment
+
+        digest = b""
+        for name in ("full-ack", "paai1", "paai2", "statfl", "combo1"):
+            result = DetectionExperiment(
+                name, paper_scenario(), runs=64, horizon=2000, seed=2026,
+                shards=2,
+            ).run()
+            digest = hash_bytes(
+                digest
+                + name.encode()
+                + result.convictions.tobytes()
+                + result.estimates_last.astype("<f8").tobytes()
+            )
+        assert digest.hex() == (
+            "25fa94d06ee9b45bb8f2b4407355e90b7742751cf62050516a5d96732bf8602b"
+        )
+
+    def test_netexp_golden_digest(self):
+        """Per-route estimates and rounds plus every checkpoint's fused
+        posteriors of a seeded k=4 fat-tree netexp, for paai1 (sampled
+        rounds, some blocks draw none) and paai2 (a round per packet)."""
+        from repro.mc.netexp import NetworkExperiment
+
+        digest = b""
+        for name in ("paai1", "paai2"):
+            topology = fat_tree_topology(4)
+            routes = generate_routes(topology, 8, seed=11)
+            (shared,) = most_shared_links(routes, count=1)
+            topology.compromise_link(shared, 0.1)
+            result = NetworkExperiment(
+                topology, routes, protocol=name, horizon=2000, seed=5,
+                shards=2,
+            ).run()
+            posteriors = json.dumps(
+                [
+                    [p.to_dict() for _, p in sorted(f.posteriors.items())]
+                    for f in result.fusions
+                ],
+                sort_keys=True,
+            )
+            digest = hash_bytes(
+                digest
+                + name.encode()
+                + b"".join(
+                    o.estimates.astype("<f8").tobytes()
+                    + o.rounds.astype("<i8").tobytes()
+                    for o in result.outcomes
+                )
+                + posteriors.encode()
+            )
+        assert digest.hex() == (
+            "431544979659042c0d160ca4adc6b5afb06721418b4ece3510560865231d25cd"
         )
 
     def test_crypto_streams_stable(self):

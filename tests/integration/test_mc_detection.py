@@ -2,12 +2,21 @@
 Figure 2, convergence scales match Table 2's ordering, and the engine's
 verdicts line up with wire-simulation ground truth."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.mc.detection import DetectionExperiment, default_checkpoints
-from repro.workloads.scenarios import paper_scenario
+from repro.mc.detection import (
+    DetectionExperiment,
+    default_checkpoints,
+    resolve_checkpoints,
+)
+from repro.mc.netexp import NetworkExperiment
+from repro.protocols import models
+from repro.topology.graph import line_topology
+from repro.workloads.scenarios import Scenario, paper_scenario
 
 SCENARIO = paper_scenario()
 
@@ -157,3 +166,71 @@ class TestValidation:
             DetectionExperiment(
                 "full-ack", SCENARIO, checkpoints=[100, 2000], horizon=1000
             )
+
+
+def detection_experiment(horizon, checkpoints):
+    return DetectionExperiment(
+        "full-ack", SCENARIO, runs=2, horizon=horizon, checkpoints=checkpoints
+    )
+
+
+def network_experiment(horizon, checkpoints):
+    topology = line_topology(3)
+    routes = [topology.shortest_route(0, 3, route_id=0)]
+    return NetworkExperiment(
+        topology, routes, protocol="paai1", horizon=horizon,
+        checkpoints=checkpoints,
+    )
+
+
+class TestCheckpointValidation:
+    """Both experiments share one checkpoint policy: an explicit list
+    must be non-empty, ascending, and within the horizon."""
+
+    @pytest.mark.parametrize(
+        "build", [detection_experiment, network_experiment],
+        ids=["detection", "netexp"],
+    )
+    @pytest.mark.parametrize(
+        "checkpoints",
+        [[], [20, 10], [10, 500]],
+        ids=["empty", "descending", "beyond-horizon"],
+    )
+    def test_rejected(self, build, checkpoints):
+        with pytest.raises(ConfigurationError):
+            build(100, checkpoints)
+
+    @pytest.mark.parametrize(
+        "build", [detection_experiment, network_experiment],
+        ids=["detection", "netexp"],
+    )
+    def test_accepted_and_defaulted(self, build):
+        assert build(100, [10, 10, 100]).checkpoints == [10, 10, 100]
+        assert build(100, None).checkpoints == default_checkpoints(100)
+        assert resolve_checkpoints(100) == default_checkpoints(100)
+
+
+class TestExplicitDecisionThreshold:
+    """``ProtocolParams.decision_threshold`` overrides the calibrated
+    thresholds on the model backend, as it does on the wire engines."""
+
+    @pytest.mark.parametrize("protocol", ["full-ack", "paai2", "statfl"])
+    def test_model_backend_convicts_against_explicit_threshold(
+        self, protocol
+    ):
+        threshold = 0.06
+        scenario = Scenario(
+            params=replace(SCENARIO.params, decision_threshold=threshold),
+            malicious_nodes=SCENARIO.malicious_nodes,
+        )
+        result = DetectionExperiment(
+            protocol, scenario, runs=200, horizon=2000, seed=4
+        ).run()
+        explicit = result.estimates_last > threshold
+        calibrated = result.estimates_last > np.asarray(
+            models.calibrated_thresholds(protocol, SCENARIO.params)
+        )
+        # The two policies disagree on this batch, so the check below
+        # tells them apart.
+        assert not np.array_equal(explicit, calibrated)
+        assert np.array_equal(result.convictions[-1], explicit)

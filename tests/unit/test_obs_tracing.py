@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
+from repro.net.packets import PacketKind
 from repro.net.simulator import Simulator
 from repro.obs.tracing import (
     DELIVER,
@@ -109,6 +110,56 @@ def collected_run(count=20, natural_loss=0.0, seed=0, capacity=100_000):
 
 
 class TestRoundTraceCollector:
+    def test_span_records_full_round(self):
+        _, collector = collected_run(count=5)
+        events = collector.spans()[0].events
+        # Data forward over 3 links + e2e ack back over 3 links, each with
+        # a send and a deliver event.
+        assert sum(e["kind"] == SEND for e in events) == 6
+        assert sum(e["kind"] == DELIVER for e in events) == 6
+        assert all(e["kind"] != LOSS for e in events)
+
+    def test_span_events_in_time_order(self):
+        _, collector = collected_run(count=10, natural_loss=0.3, seed=2)
+        for span in collector.spans():
+            times = [event["t"] for event in span.events]
+            assert times == sorted(times)
+
+    def test_probe_and_ack_traffic_on_lossy_path(self):
+        _, collector = collected_run(count=50, natural_loss=0.4, seed=4)
+        kinds = {
+            event["packet"]
+            for span in collector.spans()
+            for event in span.events
+        }
+        assert PacketKind.PROBE.value in kinds
+        assert PacketKind.ACK.value in kinds
+
+    def test_story_rendering(self):
+        _, collector = collected_run(count=5)
+        span = collector.spans()[0]
+        story = span.story().splitlines()
+        assert story[0] == f"round #{span.sequence} on path 0: acked"
+        assert len(story) == 1 + len(span.events)
+        assert "l0 -> data  send" in story[1]
+        assert story[-1].endswith("<- ack   deliver")
+        assert collector.span_for(b"\x00" * 32) is None
+
+    def test_story_names_dropping_node_and_reports(self):
+        span = make_span(sequence=7)
+        span.add(link_event(0.0, SEND, "data", 0))
+        span.add({
+            "t": 0.002, "kind": DROP, "packet": "data",
+            "direction": "forward", "link": None, "node": 2, "report": False,
+        })
+        span.add(link_event(0.004, DELIVER, "ack", 0, "reverse", report=True))
+        assert span.story().splitlines() == [
+            "round #7 on path 0: reported",
+            "  t=    0.000ms l0 -> data  send",
+            "  t=    2.000ms F2 -> data  drop",
+            "  t=    4.000ms l0 <- ack   deliver (report)",
+        ]
+
     def test_one_span_per_data_packet(self):
         _, collector = collected_run(count=20)
         assert len(collector) == 20
@@ -190,3 +241,55 @@ class TestRoundTraceCollector:
             return protocol.board.scores
 
         assert run(collected=True) == run(collected=False)
+
+
+def event_count(collector):
+    return sum(len(span.events) for span in collector.spans())
+
+
+class TestAttachLifecycle:
+    def make(self):
+        params = ProtocolParams(path_length=2)
+        simulator = Simulator(seed=0)
+        protocol = make_protocol("full-ack", simulator, params)
+        collector = RoundTraceCollector()
+        collector.attach(protocol.path)
+        return protocol, collector
+
+    def test_double_attach_never_double_records(self):
+        protocol, collector = self.make()
+        collector.attach(protocol.path)  # idempotent: no second hook
+        protocol.run_traffic(count=1, rate=1000.0)
+        (span,) = collector.spans()
+        # Data forward over 2 links + ack back over 2 links, once each.
+        assert sum(e["kind"] == SEND for e in span.events) == 4
+
+    def test_detach_stops_recording(self):
+        protocol, collector = self.make()
+        protocol.run_traffic(count=1, rate=1000.0)
+        recorded = event_count(collector)
+        collector.detach(protocol.path)
+        protocol.run_traffic(count=5, rate=1000.0)
+        # Spans recorded before detaching remain queryable, nothing new.
+        assert len(collector) == 1
+        assert event_count(collector) == recorded
+        collector.detach(protocol.path)  # second detach is a no-op
+
+    def test_reattach_resumes_recording(self):
+        protocol, collector = self.make()
+        collector.detach(protocol.path)
+        protocol.run_traffic(count=1, rate=1000.0)
+        assert len(collector) == 0
+        collector.attach(protocol.path)
+        protocol.run_traffic(count=1, rate=1000.0)
+        assert len(collector) == 1
+
+    def test_two_collectors_record_independently(self):
+        protocol, collector = self.make()
+        second = RoundTraceCollector()
+        second.attach(protocol.path)
+        protocol.run_traffic(count=2, rate=1000.0)
+        assert len(collector) == len(second) == 2
+        assert [span.to_dict() for span in collector.spans()] == [
+            span.to_dict() for span in second.spans()
+        ]

@@ -1,12 +1,11 @@
-"""Tests for the packet tracer."""
+"""Tests for tracing one path with an explicitly attached collector."""
 
 import pytest
 
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
-from repro.net.packets import PacketKind
 from repro.net.simulator import Simulator
-from repro.net.trace import PacketTracer
+from repro.obs.tracing import LOSS, RoundTraceCollector
 from repro.protocols.registry import make_protocol
 
 
@@ -14,59 +13,32 @@ def traced_run(natural_loss=0.0, count=20, seed=0, capacity=10_000):
     params = ProtocolParams(path_length=3, natural_loss=natural_loss, alpha=0.8)
     simulator = Simulator(seed=seed)
     protocol = make_protocol("full-ack", simulator, params)
-    tracer = PacketTracer(protocol.path, capacity=capacity)
-    packets = []
-    original_send = protocol.source.send_data
-
-    def capture():
-        packets.append(original_send())
-
-    for index in range(count):
-        simulator.schedule_at(index * 0.001, capture)
-    simulator.run(until=count * 0.001 + 4 * params.r0)
-    return protocol, tracer, packets
+    collector = RoundTraceCollector(capacity=capacity)
+    collector.attach(protocol.path)
+    protocol.run_traffic(count=count, rate=1000.0)
+    return protocol, collector
 
 
 class TestTracing:
-    def test_records_full_round(self):
-        protocol, tracer, packets = traced_run()
-        events = tracer.for_identifier(packets[0].identifier)
-        # Data forward over 3 links + e2e ack back over 3 links, each with
-        # a send and a deliver event.
-        sends = [e for e in events if e.kind == "send"]
-        delivers = [e for e in events if e.kind == "deliver"]
-        assert len(sends) == 6
-        assert len(delivers) == 6
-        assert all(e.kind != "loss" for e in events)
-
-    def test_time_ordered(self):
-        _, tracer, packets = traced_run(count=10)
-        events = tracer.for_identifier(packets[3].identifier)
-        times = [event.time for event in events]
-        assert times == sorted(times)
-
     def test_losses_recorded(self):
-        _, tracer, _ = traced_run(natural_loss=0.5, count=50, seed=3)
-        losses = tracer.losses()
+        _, collector = traced_run(natural_loss=0.5, count=50, seed=3)
+        losses = [
+            event
+            for span in collector.spans()
+            for event in span.events
+            if event["kind"] == LOSS
+        ]
         assert losses
-        assert all(event.kind == "loss" for event in losses)
-
-    def test_probe_traffic_traced_on_lossy_path(self):
-        _, tracer, _ = traced_run(natural_loss=0.4, count=50, seed=4)
-        kinds = {event.packet_kind for event in tracer.events}
-        assert PacketKind.PROBE.value in kinds
-        assert PacketKind.ACK.value in kinds
-
-    def test_story_rendering(self):
-        _, tracer, packets = traced_run(count=5)
-        story = tracer.story(packets[0].identifier)
-        assert "l0" in story
-        assert "send" in story
-        assert tracer.story(b"\x00" * 32).startswith("(no events")
+        # A loss happens on a link, never at a node.
+        assert all(event["link"] is not None for event in losses)
+        assert all(event["node"] is None for event in losses)
 
     def test_ring_buffer_bounded(self):
-        _, tracer, _ = traced_run(count=50, capacity=10)
-        assert len(tracer) == 10
+        _, collector = traced_run(count=50, capacity=10)
+        assert len(collector) == 10
+        # The newest rounds are the ones kept.
+        sequences = [span.sequence for span in collector.spans()]
+        assert max(sequences) == 49
 
     def test_tracing_does_not_change_behavior(self):
         """A traced run and an untraced run with the same seed must end in
@@ -77,59 +49,13 @@ class TestTracing:
             simulator = Simulator(seed=9)
             protocol = make_protocol("full-ack", simulator, params)
             if traced:
-                PacketTracer(protocol.path)
+                RoundTraceCollector().attach(protocol.path)
             protocol.run_traffic(count=100, rate=1000.0)
             return protocol.board.scores
 
         assert run(traced=True) == run(traced=False)
 
     def test_capacity_validation(self):
-        params = ProtocolParams(path_length=2)
-        simulator = Simulator()
-        protocol = make_protocol("full-ack", simulator, params)
-        with pytest.raises(ConfigurationError):
-            PacketTracer(protocol.path, capacity=0)
-
-
-class TestInstallLifecycle:
-    def make(self):
-        params = ProtocolParams(path_length=2)
-        simulator = Simulator(seed=0)
-        protocol = make_protocol("full-ack", simulator, params)
-        tracer = PacketTracer(protocol.path)
-        return protocol, tracer
-
-    def test_double_install_never_double_records(self):
-        protocol, tracer = self.make()
-        assert tracer.installed
-        tracer.install()  # idempotent: must not register a second hook
-        protocol.run_traffic(count=1, rate=1000.0)
-        sends = [e for e in tracer.events if e.kind == "send"]
-        # Data forward over 2 links + ack back over 2 links, once each.
-        assert len(sends) == 4
-
-    def test_uninstall_stops_recording(self):
-        protocol, tracer = self.make()
-        protocol.run_traffic(count=1, rate=1000.0)
-        recorded = len(tracer)
-        tracer.uninstall()
-        assert not tracer.installed
-        protocol.run_traffic(count=5, rate=1000.0)
-        # Events recorded before uninstall remain queryable, nothing new.
-        assert len(tracer) == recorded
-        tracer.uninstall()  # second uninstall is a no-op
-
-    def test_reinstall_resumes_recording(self):
-        protocol, tracer = self.make()
-        tracer.uninstall()
-        protocol.run_traffic(count=1, rate=1000.0)
-        assert len(tracer) == 0
-        tracer.install()
-        protocol.run_traffic(count=1, rate=1000.0)
-        assert len(tracer) > 0
-
-    def test_two_tracers_record_independently(self):
-        protocol, tracer = self.make()
-        second = PacketTracer(protocol.path)
-        protocol.run_traffic(count=2, rate=1000.0)
-        assert len(tracer) == len(second) > 0
+        for capacity in (0, -1):
+            with pytest.raises(ConfigurationError):
+                RoundTraceCollector(capacity=capacity)
