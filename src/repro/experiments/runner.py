@@ -432,9 +432,9 @@ def run_all(
     there are skipped, and every newly finished experiment is persisted
     to it immediately (so a crashed report resumes where it stopped).
     ``retry`` hardens execution against crashed or wedged workers: failed
-    experiments are re-run on a fresh pool up to the policy's attempt
-    budget (experiments are pure functions of their spec, so a retried
-    report is identical to an undisturbed one).
+    experiments are re-run up to the policy's attempt budget (experiments
+    are pure functions of their spec, so a retried report is identical to
+    an undisturbed one).
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {sorted(SCALES)}")

@@ -13,6 +13,11 @@ Design constraints, in order:
 3. **Picklable task units.** Task functions must be module-level
    callables and payloads plain data; workers are separate processes.
 
+Warm workers: every parallel call shares one process pool
+(:func:`_shared_pool`), created on first use and reused until ``jobs``
+changes or the pool breaks. Workers are forked once, so they see module
+state as it was at that moment; a task must depend only on its payload.
+
 Worker-side telemetry: :func:`call_with_metrics` runs a task under its
 own fresh :class:`~repro.obs.registry.MetricsRegistry` and returns the
 snapshot alongside the result, so parents can merge worker metrics with
@@ -26,12 +31,13 @@ import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     FIRST_EXCEPTION,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.exceptions import ConfigurationError, TaskRetryError
 from repro.net.rng import RngFactory
@@ -84,6 +90,91 @@ def shard_seed(root_seed: int, index: int, label: str = "shard") -> int:
     seed's own streams.
     """
     return RngFactory(root_seed).spawn(f"{label}-{index}").seed
+
+
+# -- the shared pool --------------------------------------------------------
+
+#: ``(owner_pid, jobs, executor)`` of the warm pool, or ``None`` before
+#: first use and after a discard. Rebound, never mutated in place.
+_POOL: Optional[Tuple[int, int, ProcessPoolExecutor]] = None
+
+
+def _init_worker() -> None:
+    """Pool initializer: start each worker with null observability.
+
+    A worker forked while the parent sits inside ``using_registry(...)``
+    or ``using_ledger(...)`` would otherwise keep recording into its
+    private copy of that session for the life of the pool. A task that
+    fans out again leaves the worker owning a pool of its own; the exit
+    hook shuts that down before the worker joins its children, which
+    would otherwise wait forever for work.
+    """
+    from multiprocessing.util import Finalize
+
+    from repro.obs.ledger import set_ledger
+    from repro.obs.profile import set_profiler
+    from repro.obs.registry import set_registry
+    from repro.obs.tracing import set_collector
+
+    set_registry(None)
+    set_ledger(None)
+    set_profiler(None)
+    set_collector(None)
+    Finalize(None, _release_pool, exitpriority=100)
+
+
+def _release_pool() -> None:
+    if _POOL is not None and _POOL[0] == os.getpid():
+        _POOL[2].shutdown(wait=True, cancel_futures=True)
+
+
+def _shared_pool(jobs: int) -> ProcessPoolExecutor:
+    """The warm pool of ``jobs`` workers, created on first use.
+
+    A ``jobs`` change replaces the pool. The owner PID guards forked
+    children (a task that itself fans out): an inherited executor's
+    queues feed the parent's workers, so the child builds its own. The
+    engine is driven from one thread; concurrent callers would replace
+    each other's pool.
+    """
+    global _POOL
+    pid = os.getpid()
+    if _POOL is not None and _POOL[0] == pid:
+        if _POOL[1] == jobs:
+            return _POOL[2]
+        _POOL[2].shutdown(wait=True, cancel_futures=True)
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker)
+    _POOL = (pid, jobs, pool)
+    return pool
+
+
+def _discard_pool(pool: ProcessPoolExecutor) -> None:
+    """Abandon a broken or wedged pool without waiting for its workers."""
+    global _POOL
+    if _POOL is not None and _POOL[2] is pool:
+        _POOL = None
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _submit(
+    func: Callable[[P], R],
+    payloads: Sequence[P],
+    indices: Sequence[int],
+    jobs: int,
+) -> Tuple[ProcessPoolExecutor, Dict[Future, int]]:
+    """Submit ``payloads[i]`` for each index; futures map to indices.
+
+    A pool broken by a dead worker (a crash in an earlier call or round,
+    or a worker killed while the pool sat idle) refuses submissions; it
+    is discarded here and replaced once.
+    """
+    pool = _shared_pool(jobs)
+    try:
+        return pool, {pool.submit(func, payloads[i]): i for i in indices}
+    except BrokenProcessPool:
+        _discard_pool(pool)
+    pool = _shared_pool(jobs)
+    return pool, {pool.submit(func, payloads[i]): i for i in indices}
 
 
 # -- retry policy -----------------------------------------------------------
@@ -193,18 +284,17 @@ def _stream_round(
     """One pool attempt over ``indices``; yields ``(event, index, value)``.
 
     ``event`` is ``"ok"`` (value is the result) or ``"fail"`` (value is
-    the exception). A fresh pool is built per round, so a pool poisoned
-    by a crashed worker (``BrokenProcessPool``) never leaks into the next
-    attempt. On a round timeout, unfinished futures are cancelled and the
-    pool abandoned without waiting; a genuinely wedged worker process can
-    therefore outlive the round (and is the reason ``timeout`` should be
-    generous).
+    the exception). The round runs on the shared pool. After a crashed
+    worker (``BrokenProcessPool``) the next round's submit replaces the
+    broken pool. On a round timeout the unfinished futures are cancelled
+    and the pool is discarded without waiting, so a genuinely wedged
+    worker process can outlive the round (and is the reason ``timeout``
+    should be generous).
     """
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(indices)))
+    pool, futures = _submit(func, payloads, indices, jobs)
+    pending = set(futures)
+    deadline = None if timeout is None else time.monotonic() + timeout
     try:
-        futures = {pool.submit(func, payloads[i]): i for i in indices}
-        pending = set(futures)
-        deadline = None if timeout is None else time.monotonic() + timeout
         while pending:
             remaining = (
                 None if deadline is None else max(0.0, deadline - time.monotonic())
@@ -213,8 +303,7 @@ def _stream_round(
                                  return_when=FIRST_COMPLETED)
             if not done:
                 # Round deadline expired with tasks still outstanding.
-                for future in pending:
-                    future.cancel()
+                _discard_pool(pool)
                 for future in pending:
                     yield ("fail", futures[future],
                            TimeoutError(f"task {futures[future]} timed out"))
@@ -226,7 +315,8 @@ def _stream_round(
                 except Exception as exc:
                     yield ("fail", index, exc)
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        for future in pending:
+            future.cancel()
 
 
 def _pooled_with_retry(
@@ -278,28 +368,18 @@ def run_tasks(
     """Run ``func`` over ``payloads``; results in payload order.
 
     ``jobs == 1`` executes in-process. With more jobs, payloads fan out
-    over a process pool; the pool size never exceeds the payload count.
+    over the shared pool of ``jobs`` workers.
 
     With a :class:`RetryPolicy`, failed tasks (exceptions, crashed
-    workers, round timeouts) are retried on a fresh pool up to
-    ``max_attempts`` times; ``retry=None`` preserves fail-fast behavior.
+    workers, round timeouts) are retried up to ``max_attempts`` times,
+    on a fresh pool when the old one crashed or timed out; ``retry=None``
+    preserves fail-fast behavior.
     Results are keyed by payload index either way, so retries never
     perturb output ordering.
     """
     payloads = list(payloads)
-    jobs = resolve_jobs(jobs)
-    if retry is not None:
-        if jobs == 1 or len(payloads) <= 1:
-            return [
-                _serial_attempts(func, payload, index, retry)
-                for index, payload in enumerate(payloads)
-            ]
-        results = dict(_pooled_with_retry(func, payloads, jobs, retry))
-        return [results[index] for index in range(len(payloads))]
-    if jobs == 1 or len(payloads) <= 1:
-        return [func(payload) for payload in payloads]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(func, payloads))
+    results = dict(run_tasks_completed(func, payloads, jobs, retry))
+    return [results[index] for index in range(len(payloads))]
 
 
 def run_tasks_completed(
@@ -313,10 +393,10 @@ def run_tasks_completed(
     The streaming variant of :func:`run_tasks`, for callers that
     checkpoint or report progress as results land. Serial execution
     completes in payload order by construction. Without a retry policy,
-    a failing task cancels pending tasks and the exception propagates
-    after in-flight workers finish; with one, failed tasks are retried
-    on a fresh pool and only a task exhausting ``max_attempts`` raises
-    (:class:`~repro.exceptions.TaskRetryError`).
+    a failing task cancels queued tasks and the exception propagates at
+    once (tasks already running finish in the background on the warm
+    pool); with one, failed tasks are retried and only a task exhausting
+    ``max_attempts`` raises (:class:`~repro.exceptions.TaskRetryError`).
     """
     payloads = list(payloads)
     jobs = resolve_jobs(jobs)
@@ -330,20 +410,16 @@ def run_tasks_completed(
     if retry is not None:
         yield from _pooled_with_retry(func, payloads, jobs, retry)
         return
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        futures = {
-            pool.submit(func, payload): index
-            for index, payload in enumerate(payloads)
-        }
-        pending = set(futures)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                for future in done:
-                    yield futures[future], future.result()
-        finally:
-            for future in pending:
-                future.cancel()
+    _, futures = _submit(func, payloads, range(len(payloads)), jobs)
+    pending = set(futures)
+    try:
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_EXCEPTION)
+            for future in done:
+                yield futures[future], future.result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def call_with_metrics(

@@ -275,7 +275,6 @@ class WireProtocol:
                 max_latency=params.max_link_latency,
                 clock_skews=clock_skews,
             )
-        self._thresholds: Optional[List[float]] = None
         nodes = self._build_nodes()
         if adversaries:
             for position, strategy in adversaries.items():
@@ -344,11 +343,9 @@ class WireProtocol:
         plus the Hoeffding midpoint margin ``epsilon/2`` (see
         :mod:`repro.protocols.models`).
         """
-        if self._thresholds is None:
-            from repro.protocols.models import decision_thresholds
+        from repro.protocols.models import decision_thresholds
 
-            self._thresholds = decision_thresholds(self.name, self.params)
-        return self._thresholds
+        return decision_thresholds(self.name, self.params)
 
     #: Variance correction for confidence intervals: 1 for direct blame
     #: frequencies; interval-scoring protocols override (their estimator

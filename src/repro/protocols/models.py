@@ -38,6 +38,8 @@ means "no score".
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -395,13 +397,22 @@ def calibrated_thresholds(name: str, params: ProtocolParams) -> List[float]:
     under the honest hypothesis (all links natural) and under the §8.1
     malicious hypothesis (that link's node dropping at ``epsilon``) —
     the per-protocol generalization of Theorem 2's midpoint test.
+
+    Memoised on the parameter *values*: the key is rebuilt on every call,
+    so a mutated ``params`` never reads a stale entry, and each call gets
+    a fresh list.
     """
+    return list(_calibrated(name, dataclasses.astuple(params)))
+
+
+@functools.lru_cache(maxsize=256)
+def _calibrated(name: str, values: tuple) -> Tuple[float, ...]:
+    params = ProtocolParams(*values)
     natural = natural_estimates(name, params)
-    thresholds = []
-    for link in range(params.path_length):
-        malicious = malicious_estimates(name, params, link)[link]
-        thresholds.append((natural[link] + malicious) / 2.0)
-    return thresholds
+    return tuple(
+        (natural[link] + malicious_estimates(name, params, link)[link]) / 2.0
+        for link in range(params.path_length)
+    )
 
 
 def decision_thresholds(name: str, params: ProtocolParams) -> List[float]:

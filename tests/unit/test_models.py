@@ -160,6 +160,74 @@ class TestCalibratedThresholds:
             models.malicious_estimates("paai1", PARAMS, link=D)
 
 
+def _midpoints(name, params):
+    """Thresholds recomputed from the two hypotheses, bypassing the memo."""
+    natural = models.natural_estimates(name, params)
+    return [
+        (natural[link] + models.malicious_estimates(name, params, link)[link]) / 2
+        for link in range(params.path_length)
+    ]
+
+
+MEMO_PARAMS = [
+    ProtocolParams(),
+    ProtocolParams(path_length=3, natural_loss=0.02, alpha=0.05),
+    ProtocolParams(path_length=9, probe_frequency=0.25),
+    ProtocolParams(natural_loss=0.0, alpha=0.1, max_link_latency=0.01),
+]
+
+
+class TestThresholdMemo:
+    @pytest.mark.parametrize("name", ALL_MODELED + ["sig-ack", "statfl"])
+    @pytest.mark.parametrize("params", MEMO_PARAMS)
+    def test_cached_equals_uncached(self, name, params):
+        models._calibrated.cache_clear()
+        cold = models.calibrated_thresholds(name, params)
+        warm = models.calibrated_thresholds(name, params)
+        assert cold == warm == _midpoints(name, params)
+
+    @pytest.mark.parametrize("name", ALL_MODELED + ["statfl"])
+    @pytest.mark.parametrize("field, value", [
+        ("natural_loss", 0.015),
+        ("path_length", 4),
+    ])
+    def test_mutated_params_never_read_a_stale_entry(self, name, field, value):
+        params = ProtocolParams()
+        before = models.calibrated_thresholds(name, params)
+        setattr(params, field, value)
+        after = models.calibrated_thresholds(name, params)
+        assert after != before
+        assert after == _midpoints(name, params)
+
+    def test_probe_frequency_is_part_of_the_key(self):
+        # Expected estimates are per observation round, so no model's
+        # thresholds move with p; the key must still tell them apart.
+        params = ProtocolParams()
+        models.calibrated_thresholds("paai1", params)
+        misses = models._calibrated.cache_info().misses
+        params.probe_frequency = 0.5
+        after = models.calibrated_thresholds("paai1", params)
+        assert models._calibrated.cache_info().misses == misses + 1
+        assert after == _midpoints("paai1", params)
+
+    def test_returned_list_is_a_private_copy(self):
+        first = models.calibrated_thresholds("paai2", PARAMS)
+        expected = list(first)
+        first[0] = 99.0
+        first.append(1.0)
+        assert models.calibrated_thresholds("paai2", PARAMS) == expected
+        assert models.decision_thresholds("paai2", PARAMS) == expected
+
+    def test_explicit_decision_threshold_still_wins(self):
+        models.calibrated_thresholds("full-ack", PARAMS)
+        params = ProtocolParams(decision_threshold=0.3)
+        assert models.decision_thresholds("full-ack", params) == [0.3] * D
+        params.decision_threshold = None
+        assert models.decision_thresholds("full-ack", params) == (
+            models.calibrated_thresholds("full-ack", PARAMS)
+        )
+
+
 class TestScoreMatrix:
     def test_blame_matrix_is_identity_plus_zero_row(self):
         model = build("full-ack")

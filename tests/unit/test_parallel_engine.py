@@ -1,15 +1,23 @@
 """Tests for the deterministic process-pool engine (repro.parallel)."""
 
 import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.exceptions import ConfigurationError, TaskRetryError
+from repro.obs.ledger import EvidenceLedger, get_ledger, using_ledger
+from repro.obs.profile import get_profiler
 from repro.obs.registry import MetricsRegistry, NullRegistry, get_registry, using_registry
 from repro.parallel import (
     RetryPolicy,
     call_with_metrics,
     default_jobs,
+    engine,
     resolve_jobs,
     run_tasks,
     run_tasks_completed,
@@ -41,6 +49,31 @@ def _flaky_square(arg):
 
 def _always_fails(value):
     raise RuntimeError(f"permanent failure for {value}")
+
+
+def _worker_pid(seconds):
+    """Hold the worker briefly so every pool member takes a task."""
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def _crash_always(value):
+    os._exit(17)
+
+
+def _sleep_for(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _nested_squares(values):
+    """Fans out again from inside a worker."""
+    return run_tasks(_square, values, jobs=2)
+
+
+def _observability_state(_):
+    return (get_registry().enabled, get_ledger().enabled,
+            get_profiler().enabled)
 
 
 def _counting_task():
@@ -219,3 +252,96 @@ class TestCallWithMetrics:
     def test_registry_is_scoped_to_the_call(self):
         call_with_metrics(_counting_task, collect_metrics=True)
         assert isinstance(get_registry(), NullRegistry)
+
+
+def _pool_identity():
+    return None if engine._POOL is None else engine._POOL[2]
+
+
+class TestSharedPool:
+    def test_back_to_back_calls_reuse_the_workers(self):
+        first = run_tasks(_worker_pid, [0.05] * 6, jobs=2)
+        pool = _pool_identity()
+        second = run_tasks(_worker_pid, [0.05] * 6, jobs=2)
+        assert _pool_identity() is pool
+        assert len(set(first) | set(second)) == 2
+        assert os.getpid() not in first + second
+
+    def test_changing_jobs_replaces_the_pool(self):
+        run_tasks(_square, range(4), jobs=2)
+        two = _pool_identity()
+        assert run_tasks(_square, range(4), jobs=3) == [0, 1, 4, 9]
+        three = _pool_identity()
+        assert three is not two
+        assert engine._POOL[1] == 3
+        run_tasks(_square, range(4), jobs=2)
+        assert _pool_identity() is not three
+
+    def test_crash_without_retry_leaves_a_working_pool(self):
+        run_tasks(_square, range(2), jobs=2)
+        pool = _pool_identity()
+        with pytest.raises(BrokenProcessPool):
+            run_tasks(_crash_always, [1, 2, 3], jobs=2)
+        assert run_tasks(_square, range(5), jobs=2) == [0, 1, 4, 9, 16]
+        assert _pool_identity() is not pool
+
+    def test_worker_death_while_idle_is_survived(self):
+        run_tasks(_square, range(4), jobs=2)
+        pool = _pool_identity()
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken
+        assert run_tasks(_square, range(5), jobs=2) == [0, 1, 4, 9, 16]
+        assert _pool_identity() is not pool
+
+    def test_round_timeout_leaves_a_working_pool(self):
+        policy = RetryPolicy(max_attempts=1, timeout=0.2, backoff=0.0)
+        run_tasks(_square, range(2), jobs=2)
+        pool = _pool_identity()
+        with pytest.raises(TaskRetryError, match="timed out"):
+            run_tasks(_sleep_for, [1.0, 1.0], jobs=2, retry=policy)
+        assert run_tasks(_square, range(5), jobs=2) == [0, 1, 4, 9, 16]
+        assert _pool_identity() is not pool
+
+    def test_task_fanning_out_inside_a_worker(self):
+        # Without the owner-PID guard the worker would submit to its
+        # parent's executor and hang; the round timeout turns a hang
+        # into a failure.
+        run_tasks(_square, range(2), jobs=2)  # workers inherit this pool
+        policy = RetryPolicy(max_attempts=1, timeout=30.0)
+        nested = run_tasks(_nested_squares, [[1, 2, 3], [4, 5]], jobs=2,
+                           retry=policy)
+        assert nested == [[1, 4, 9], [16, 25]]
+
+    def test_interpreter_exits_promptly_with_live_pools(self):
+        # The nested batch leaves each worker owning a pool of its own.
+        here = os.path.dirname(os.path.abspath(__file__))
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {here!r})\n"
+            "from test_parallel_engine import _nested_squares\n"
+            "from repro.parallel import run_tasks\n"
+            "print(run_tasks(abs, [-1, -2, -3], jobs=2))\n"
+            "print(run_tasks(_nested_squares, [[1, 2], [3, 4]], jobs=2))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(here, "..", "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        started = time.monotonic()
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[:2] == ["[1, 2, 3]", "[[1, 4], [9, 16]]"]
+        assert time.monotonic() - started < 10
+
+    def test_workers_start_with_null_observability(self):
+        if engine._POOL is not None:  # the first pool must fork in here
+            engine._discard_pool(engine._POOL[2])
+        with using_registry(MetricsRegistry()), using_ledger(EvidenceLedger()):
+            inside = run_tasks(_observability_state, range(4), jobs=2)
+        outside = run_tasks(_observability_state, range(4), jobs=2)
+        assert inside == outside == [(False, False, False)] * 4
