@@ -23,7 +23,8 @@ Observability: experiment commands accept ``--metrics-out FILE`` (metrics
 registry snapshot as JSON), ``--trace-out FILE`` (round spans as JSONL),
 ``--ledger-out FILE`` (the evidence ledger as JSONL, reconstructable via
 ``explain``), and ``--profile`` (phase timers into the metrics
-snapshot). Monte-Carlo experiments (figure2, table2) have no wire
+snapshot), through one observability session that ``--jobs`` workers
+also record into. Monte-Carlo experiments (figure2, table2) have no wire
 packets, so when tracing is requested there, a companion wire run of the
 same protocol/scenario is captured on the event-driven simulator.
 """
@@ -58,6 +59,11 @@ from repro.experiments.figure3 import run_figure3_panel
 from repro.experiments.report import render_table
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
+from repro.obs.ledger import EvidenceLedger
+from repro.obs.profile import PhaseProfiler
+from repro.obs.registry import MetricsRegistry, using_registry
+from repro.obs.session import Session, using_session
+from repro.obs.tracing import RoundTraceCollector
 from repro.protocols.registry import available_protocols
 
 
@@ -78,26 +84,16 @@ def _emit(args, result) -> None:
         print(result.render() if hasattr(result, "render") else result)
 
 
-class _ObsSession:
-    """Handle yielded by :func:`_observability` while capture is active.
-
-    ``extra`` entries are merged into the metrics payload at write time,
-    letting commands annotate the snapshot (e.g. figure2's
-    ``wire_backend`` section) without owning the file format.
-    """
-
-    def __init__(self, registry) -> None:
-        self.registry = registry
-        self.extra: dict = {}
-
-
 @contextmanager
 def _observability(args, wire_protocol: Optional[str] = None, seed: int = 0):
     """Activate metrics/tracing/ledger capture when a command's flags ask.
 
-    Inside the block the fresh registry, collector, evidence ledger, and
-    phase profiler are process-active, so every simulator, path, crypto
-    substrate, and agent constructed by the command reports into them.
+    Inside the block one fresh session (registry, collector, and the
+    ledger and profiler when asked) is active, so everything the command
+    constructs, in-process or in a ``--jobs`` worker, reports into it.
+    The block yields a dict merged into the metrics payload at write
+    time (figure2's ``wire_backend``), or ``None`` without flags.
+
     The requested files are written on the way out **even when the
     experiment raises** — the partial snapshot is marked ``"status":
     "failed"``, because telemetry matters most exactly when a run
@@ -123,37 +119,24 @@ def _observability(args, wire_protocol: Optional[str] = None, seed: int = 0):
         yield None
         return
     _check_output_dirs(metrics_out, trace_out, ledger_out)
-    from contextlib import ExitStack
-
-    from repro.obs.ledger import EvidenceLedger, using_ledger
-    from repro.obs.profile import PhaseProfiler, using_profiler
-    from repro.obs.registry import MetricsRegistry, using_registry
-    from repro.obs.tracing import RoundTraceCollector, using_collector
-
     registry = MetricsRegistry()
-    collector = RoundTraceCollector()
-    ledger = EvidenceLedger() if ledger_out else None
-    session = _ObsSession(registry)
+    session = Session(registry=registry, collector=RoundTraceCollector())
+    if ledger_out:
+        session.ledger = EvidenceLedger()
+    if profile:
+        session.profiler = PhaseProfiler(registry)
+    extra: dict = {}
     failed = False
     companion_snapshot = None
     try:
-        with ExitStack() as stack:
-            stack.enter_context(using_registry(registry))
-            stack.enter_context(using_collector(collector))
-            if ledger is not None:
-                stack.enter_context(using_ledger(ledger))
-            if profile:
-                stack.enter_context(
-                    using_profiler(PhaseProfiler(registry))
-                )
-            yield session
-            if wire_protocol is not None and len(collector) == 0:
+        with using_session(session):
+            yield extra
+            if wire_protocol is not None and len(session.collector) == 0:
                 from repro.obs.capture import capture_wire_run
 
-                companion_registry = MetricsRegistry()
-                with using_registry(companion_registry):
+                with using_registry(MetricsRegistry()) as companion:
                     capture = capture_wire_run(wire_protocol, seed=seed)
-                companion_snapshot = companion_registry.snapshot()
+                companion_snapshot = companion.snapshot()
                 print(capture.describe(), file=sys.stderr)
     except BaseException:
         failed = True
@@ -164,18 +147,18 @@ def _observability(args, wire_protocol: Optional[str] = None, seed: int = 0):
             payload["status"] = "failed" if failed else "ok"
             if companion_snapshot is not None:
                 payload["companion_wire_run"] = companion_snapshot
-            payload.update(session.extra)
+            payload.update(extra)
             with open(metrics_out, "w") as handle:
                 json.dump(payload, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             note = " (partial: run failed)" if failed else ""
             print(f"metrics written to {metrics_out}{note}", file=sys.stderr)
         if trace_out:
-            written = collector.write_jsonl(trace_out)
+            written = session.collector.write_jsonl(trace_out)
             print(f"{written} round spans written to {trace_out}",
                   file=sys.stderr)
-        if ledger_out and ledger is not None:
-            written = ledger.write_jsonl(ledger_out)
+        if ledger_out:
+            written = session.ledger.write_jsonl(ledger_out)
             print(
                 f"{written} ledger entries written to {ledger_out} "
                 "(inspect with: repro-aai explain --ledger "
@@ -229,15 +212,15 @@ def _cmd_table2(args) -> None:
 def _cmd_figure2(args) -> None:
     with _observability(
         args, wire_protocol=args.protocol, seed=args.seed
-    ) as session:
+    ) as extra:
         result = run_figure2(
             args.protocol, runs=args.runs, horizon=args.horizon,
             seed=args.seed, jobs=args.jobs, backend=args.backend,
         )
         detection = result.detection
-        if session is not None and detection.backend != "model":
+        if extra is not None and detection.backend != "model":
             engines = detection.engines
-            session.extra["wire_backend"] = {
+            extra["wire_backend"] = {
                 "backend": detection.backend,
                 "engines": {
                     name: engines.count(name)
@@ -321,16 +304,7 @@ def _cmd_sweeps(args) -> None:
 def _cmd_report(args) -> None:
     from repro.experiments.runner import run_all
 
-    from contextlib import ExitStack
-
     _check_output_dirs(args.metrics_out, args.trace_out, args.out, args.resume)
-    jobs = args.jobs
-    if args.trace_out and jobs != 1:
-        # Round spans live in the workers' process-local collectors and
-        # are not shipped back; tracing forces a serial report.
-        print("--trace-out requires a serial report; forcing --jobs 1",
-              file=sys.stderr)
-        jobs = 1
     retry = None
     if args.max_attempts > 1 or args.task_timeout is not None:
         from repro.parallel.engine import RetryPolicy
@@ -338,18 +312,16 @@ def _cmd_report(args) -> None:
         retry = RetryPolicy(
             max_attempts=args.max_attempts, timeout=args.task_timeout
         )
-    collector = None
-    with ExitStack() as stack:
-        if args.trace_out:
-            from repro.obs.tracing import RoundTraceCollector, using_collector
-
-            collector = RoundTraceCollector()
-            stack.enter_context(using_collector(collector))
+    session = Session()
+    if args.metrics_out:
+        session.registry = MetricsRegistry()
+    if args.trace_out:
+        session.collector = RoundTraceCollector()
+    with using_session(session):
         report = run_all(
             scale=args.scale, seed=args.seed,
             progress=lambda name: print(f"[done] {name}", flush=True),
-            collect_metrics=args.metrics_out is not None,
-            jobs=jobs,
+            jobs=args.jobs,
             resume_path=args.resume,
             retry=retry,
         )
@@ -360,7 +332,7 @@ def _cmd_report(args) -> None:
         print(f"experiment telemetry written to {args.metrics_out}",
               file=sys.stderr)
     if args.trace_out:
-        written = collector.write_jsonl(args.trace_out)
+        written = session.collector.write_jsonl(args.trace_out)
         print(f"{written} round spans written to {args.trace_out}",
               file=sys.stderr)
     if args.out:

@@ -13,11 +13,10 @@ makes three things possible:
   pool (:mod:`repro.parallel`); every experiment seeds itself from the
   report seed, so the assembled report is identical for every ``jobs``
   value (only the runtime lines differ);
-* **worker telemetry** — with ``collect_metrics=True`` each task runs
-  under its own fresh :class:`~repro.obs.registry.MetricsRegistry`
-  (in-process or in a worker) and ships the snapshot back; snapshots
-  attach to the records and fold into one run-level view via
-  :meth:`MetricsRegistry.merge` (:meth:`ReproductionReport.merged_metrics`);
+* **session capture** — each experiment runs in its own fresh
+  observability session (:mod:`repro.obs.session`); its registry
+  snapshot attaches to the record
+  (:meth:`ReproductionReport.merged_metrics` folds them);
 * **checkpoint/resume** — with ``resume_path`` set, finished experiments
   append to a checkpoint JSON as they complete, and a rerun skips every
   experiment already recorded there (``report --resume``).
@@ -47,6 +46,7 @@ from repro.experiments.figure2 import run_figure2
 from repro.experiments.figure3 import run_figure3_panel
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
+from repro.obs.registry import MetricsRegistry, get_registry
 from repro.parallel.engine import RetryPolicy, run_tasks_completed
 
 #: Scale presets: (table2 runs, figure2 runs, figure3 packets, ablation
@@ -100,7 +100,7 @@ class ExperimentRecord:
     name: str
     elapsed_seconds: float
     text: str
-    #: Metrics-registry snapshot for this experiment (``collect_metrics``).
+    #: Metrics-registry snapshot for this experiment, if metered.
     metrics: Optional[dict] = None
 
 
@@ -175,22 +175,20 @@ def build_specs(scale: str, seed: int = 0) -> List[ExperimentSpec]:
 
 
 def _execute_spec(payload: Tuple) -> ExperimentRecord:
-    """Run one spec — in-process or in a pool worker — into a record."""
-    name, task, kwargs, collect_metrics = payload
-    from repro.parallel.engine import call_with_metrics
-
+    """Run one spec — in-process or in a pool worker — into a record
+    (under its own fresh session, so the registry is its alone)."""
+    name, task, kwargs = payload
     # Monotonic, not wall-clock: NTP can step time.time() backwards,
     # which would record negative elapsed_seconds in the telemetry.
     started = time.monotonic()
-    result, snapshot = call_with_metrics(
-        lambda: task(**kwargs), collect_metrics
-    )
+    result = task(**kwargs)
     text = result.render() if hasattr(result, "render") else str(result)
+    registry = get_registry()
     return ExperimentRecord(
         name=name,
         elapsed_seconds=time.monotonic() - started,
         text=text,
-        metrics=snapshot,
+        metrics=registry.snapshot() if registry.enabled else None,
     )
 
 
@@ -254,8 +252,6 @@ class ReproductionReport:
         the same run-level totals. ``None`` when no record carries
         metrics.
         """
-        from repro.obs.registry import MetricsRegistry
-
         snapshots = [r.metrics for r in self.records if r.metrics is not None]
         if not snapshots:
             return None
@@ -417,15 +413,14 @@ def run_all(
     scale: str = "quick",
     seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
-    collect_metrics: bool = False,
     jobs: int = 1,
     resume_path: Optional[str] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> ReproductionReport:
     """Regenerate everything at the given scale ('smoke', 'quick', 'full').
 
-    ``collect_metrics`` runs each experiment under its own fresh metrics
-    registry and attaches the snapshot to the experiment's record.
+    With a registry in the active session, each record carries its
+    experiment's metrics snapshot.
     ``jobs`` fans the experiments over a process pool; the assembled
     report is identical to a serial run apart from measured runtimes.
     ``resume_path`` names a checkpoint file: experiments already recorded
@@ -445,10 +440,7 @@ def run_all(
     if resume_path:
         completed = load_checkpoint(resume_path, scale=scale, seed=seed)
     pending = [spec for spec in specs if spec.name not in completed]
-    payloads = [
-        (spec.name, spec.task, dict(spec.kwargs), collect_metrics)
-        for spec in pending
-    ]
+    payloads = [(spec.name, spec.task, dict(spec.kwargs)) for spec in pending]
     for _, record in run_tasks_completed(
         _execute_spec, payloads, jobs=jobs, retry=retry
     ):

@@ -1,13 +1,14 @@
 """Unified observability layer.
 
 Several pieces, built to the same rule — zero-cost when off, one JSON
-file when on:
+file when on. The first four are active together as one
+:class:`Session` (:mod:`repro.obs.session`).
 
 * :mod:`repro.obs.registry` — the process-wide **metrics registry**:
   counters, gauges, and fixed-bucket histograms with labeled series,
   wired into the engine, links/nodes, the crypto substrate, and every
   protocol agent. Disabled by default (a shared no-op registry); activate
-  with :func:`using_registry` before building a simulator.
+  a session with one before building a simulator.
 * :mod:`repro.obs.tracing` — **round-level tracing spans** built on the
   public path/link hook API: every link and node event of a data packet's
   probe→ack→report lifecycle, grouped by packet identifier, exported as
@@ -37,7 +38,6 @@ from repro.obs.ledger import (
     get_ledger,
     read_ledger_jsonl,
     render_explanation,
-    set_ledger,
     using_ledger,
 )
 from repro.obs.profile import (
@@ -47,7 +47,6 @@ from repro.obs.profile import (
     PhaseProfiler,
     get_profiler,
     phase,
-    set_profiler,
     using_profiler,
 )
 from repro.obs.registry import (
@@ -61,19 +60,22 @@ from repro.obs.registry import (
     NullRegistry,
     get_registry,
     metrics_enabled,
-    set_registry,
     using_registry,
 )
+from repro.obs.session import NULL_SESSION, Session, current, using_session
 from repro.obs.tracing import (
     RoundSpan,
     RoundTraceCollector,
     get_collector,
     read_jsonl,
-    set_collector,
     using_collector,
 )
 
 __all__ = [
+    "Session",
+    "NULL_SESSION",
+    "current",
+    "using_session",
     "Counter",
     "Gauge",
     "Histogram",
@@ -83,20 +85,17 @@ __all__ = [
     "TIME_BUCKETS",
     "SIM_LATENCY_BUCKETS",
     "get_registry",
-    "set_registry",
     "using_registry",
     "metrics_enabled",
     "RoundSpan",
     "RoundTraceCollector",
     "get_collector",
-    "set_collector",
     "using_collector",
     "read_jsonl",
     "EvidenceLedger",
     "NullLedger",
     "NULL_LEDGER",
     "get_ledger",
-    "set_ledger",
     "using_ledger",
     "read_ledger_jsonl",
     "render_explanation",
@@ -105,7 +104,6 @@ __all__ = [
     "NULL_PROFILER",
     "PIPELINE_PHASES",
     "get_profiler",
-    "set_profiler",
     "using_profiler",
     "phase",
 ]

@@ -59,10 +59,11 @@ See ``docs/OBSERVABILITY.md`` for the full schema.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+from functools import partial
 from typing import Dict, Iterator, List, Optional
 
 from repro.exceptions import ConfigurationError
+from repro.obs.registry import ACTIVE, using_part
 
 
 def _canonical(value):
@@ -113,6 +114,14 @@ class EvidenceLedger:
         self._entries.append(entry)
         self._seq += 1
 
+    def absorb(self, entries: List[Dict], dropped: int = 0) -> None:
+        """Re-record another ledger's entries, then count its overflow:
+        ``seq``, ``capacity`` and ``dropped`` come out as in one run."""
+        for entry in entries:
+            self.record(**{k: v for k, v in entry.items() if k != "seq"})
+        self.dropped += dropped
+        self._seq += dropped
+
     # -- querying ----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -154,35 +163,13 @@ class NullLedger(EvidenceLedger):
 NULL_LEDGER = NullLedger()
 
 
-class _ActiveState:
-    __slots__ = ("ledger",)
-
-    def __init__(self) -> None:
-        self.ledger: EvidenceLedger = NULL_LEDGER
-
-
-_STATE = _ActiveState()
-
-
 def get_ledger() -> EvidenceLedger:
-    """The currently active ledger (the null ledger by default)."""
-    return _STATE.ledger
+    """The active session's ledger (the null ledger by default)."""
+    return ACTIVE.session.ledger
 
 
-def set_ledger(ledger: Optional[EvidenceLedger]) -> EvidenceLedger:
-    """Install ``ledger`` process-wide; ``None`` restores the null one."""
-    _STATE.ledger = ledger if ledger is not None else NULL_LEDGER
-    return _STATE.ledger
-
-
-@contextmanager
-def using_ledger(ledger: Optional[EvidenceLedger]) -> Iterator[EvidenceLedger]:
-    """Context manager: install ``ledger``, restore the previous on exit."""
-    previous = _STATE.ledger
-    try:
-        yield set_ledger(ledger)
-    finally:
-        _STATE.ledger = previous
+#: ``with using_ledger(ledger):`` swaps the session's ledger.
+using_ledger = partial(using_part, "ledger")
 
 
 def read_ledger_jsonl(path: str) -> List[Dict]:
@@ -408,7 +395,6 @@ __all__ = [
     "NullLedger",
     "NULL_LEDGER",
     "get_ledger",
-    "set_ledger",
     "using_ledger",
     "read_ledger_jsonl",
     "ledger_runs",

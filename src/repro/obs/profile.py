@@ -34,13 +34,10 @@ Exported series (through the registry snapshot):
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from functools import partial
+from typing import Optional
 
-from repro.obs.registry import (
-    MetricsRegistry,
-    get_registry,
-)
+from repro.obs.registry import ACTIVE, MetricsRegistry, get_registry, using_part
 
 #: The canonical pipeline phases instrumented by the shipped code.
 PIPELINE_PHASES = ("setup", "wire-replay", "scoring", "conviction")
@@ -125,35 +122,13 @@ class NullProfiler(PhaseProfiler):
 NULL_PROFILER = NullProfiler()
 
 
-class _ActiveState:
-    __slots__ = ("profiler",)
-
-    def __init__(self) -> None:
-        self.profiler: PhaseProfiler = NULL_PROFILER
-
-
-_STATE = _ActiveState()
-
-
 def get_profiler() -> PhaseProfiler:
-    """The currently active profiler (the null profiler by default)."""
-    return _STATE.profiler
+    """The active session's profiler (the null profiler by default)."""
+    return ACTIVE.session.profiler
 
 
-def set_profiler(profiler: Optional[PhaseProfiler]) -> PhaseProfiler:
-    """Install ``profiler`` process-wide; ``None`` restores the null one."""
-    _STATE.profiler = profiler if profiler is not None else NULL_PROFILER
-    return _STATE.profiler
-
-
-@contextmanager
-def using_profiler(profiler: Optional[PhaseProfiler]) -> Iterator[PhaseProfiler]:
-    """Context manager: install ``profiler``, restore the previous on exit."""
-    previous = _STATE.profiler
-    try:
-        yield set_profiler(profiler)
-    finally:
-        _STATE.profiler = previous
+#: ``with using_profiler(profiler):`` swaps the session's profiler.
+using_profiler = partial(using_part, "profiler")
 
 
 def phase(name: str):
@@ -162,7 +137,7 @@ def phase(name: str):
     The sim-scope entry point: modules banned from reading clocks call
     this; with the null profiler active it returns a shared no-op.
     """
-    return _STATE.profiler.phase(name)
+    return ACTIVE.session.profiler.phase(name)
 
 
 __all__ = [
@@ -171,7 +146,6 @@ __all__ = [
     "NullProfiler",
     "NULL_PROFILER",
     "get_profiler",
-    "set_profiler",
     "using_profiler",
     "phase",
 ]

@@ -16,8 +16,8 @@ Design constraints, in order:
 2. **Construction-time binding.** Instrumented objects fetch their
    instrument handles once, at construction, so the per-event cost with
    metrics enabled is a plain attribute increment. Install the registry
-   (:func:`set_registry` / :func:`using_registry`) *before* building
-   simulators and protocols.
+   (:func:`repro.obs.session.using_session` / :func:`using_registry`)
+   *before* building simulators and protocols.
 3. **Deterministic export.** Snapshots order series by (name, labels) so
    two runs of the same seed produce byte-identical JSON.
 
@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import replace
+from functools import partial
+from types import SimpleNamespace
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 
@@ -405,46 +408,42 @@ def deterministic_view(snapshot: dict) -> dict:
 NULL_REGISTRY = NullRegistry()
 
 
-class _ActiveState:
-    """Mutable holder so hot modules can cache one reference and still see
-    registry swaps (``_STATE.registry`` is re-read per call)."""
-
-    __slots__ = ("registry",)
-
-    def __init__(self) -> None:
-        self.registry: MetricsRegistry = NULL_REGISTRY
-
-
-_STATE = _ActiveState()
-
-
-def get_registry() -> MetricsRegistry:
-    """The currently active registry (the null registry by default)."""
-    return _STATE.registry
-
-
-def set_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Install ``registry`` process-wide; ``None`` restores the null one.
-
-    Returns the registry that is now active. Install before constructing
-    simulators/protocols: instruments are bound at construction time.
-    """
-    _STATE.registry = registry if registry is not None else NULL_REGISTRY
-    return _STATE.registry
+#: Holder of the active :class:`repro.obs.session.Session` (that module
+#: installs the null one); every ``get_*`` accessor of :mod:`repro.obs`
+#: reads it per call.
+ACTIVE = SimpleNamespace(session=None)
 
 
 @contextmanager
-def using_registry(registry: Optional[MetricsRegistry]) -> Iterator[MetricsRegistry]:
-    """Context manager: install ``registry``, restore the previous on exit."""
-    previous = _STATE.registry
+def using_session(session) -> Iterator:
+    """Make ``session`` the active session for a ``with`` block."""
+    previous = ACTIVE.session
+    ACTIVE.session = session
     try:
-        yield set_registry(registry)
+        yield session
     finally:
-        _STATE.registry = previous
+        ACTIVE.session = previous
+
+
+@contextmanager
+def using_part(name: str, part) -> Iterator:
+    """The active session with part ``name`` swapped in for a ``with``
+    block; yields that part."""
+    with using_session(replace(ACTIVE.session, **{name: part})) as session:
+        yield getattr(session, name)
+
+
+def get_registry() -> MetricsRegistry:
+    """The active session's registry (the null registry by default)."""
+    return ACTIVE.session.registry
+
+
+#: ``with using_registry(registry):`` swaps the session's registry.
+using_registry = partial(using_part, "registry")
 
 
 def metrics_enabled() -> bool:
-    return _STATE.registry.enabled
+    return ACTIVE.session.registry.enabled
 
 
 class CounterBatch:
@@ -469,7 +468,7 @@ class CounterBatch:
     __slots__ = ("_registry", "_pending")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._registry = registry if registry is not None else _STATE.registry
+        self._registry = registry if registry is not None else get_registry()
         self._pending: Dict[Tuple[str, LabelItems], int] = {}
 
     @property
@@ -508,7 +507,6 @@ __all__ = [
     "SIM_LATENCY_BUCKETS",
     "deterministic_view",
     "get_registry",
-    "set_registry",
     "using_registry",
     "metrics_enabled",
 ]

@@ -15,22 +15,23 @@ Attaching is idempotent (a path never registers the same observer
 twice), and :meth:`RoundTraceCollector.detach` stops recording while
 keeping the spans already collected.
 
-A collector can be activated process-wide (:func:`set_collector` /
-:func:`using_collector`); paths constructed while a collector is active
-attach themselves automatically, which is how the CLI's ``--trace-out``
-flag traces experiments without threading a collector through every
-experiment entry point.
+Paths constructed while the active session has a collector
+(:func:`using_collector`) attach themselves automatically, which is how
+the CLI's ``--trace-out`` flag traces experiments without threading a
+collector through every experiment entry point.
 """
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 from repro.exceptions import ConfigurationError
+from repro.obs.registry import ACTIVE, using_part
 
 if TYPE_CHECKING:  # imported lazily: obs must not depend on repro.net at
     # runtime (repro.net.packets -> repro.crypto -> repro.obs would cycle)
@@ -72,7 +73,7 @@ class RoundSpan:
 
     identifier: str  # hex
     sequence: int
-    path_id: int
+    path_id: int  # the collector's number for the path (attach order)
     path_length: int
     start: float
     end: float = 0.0
@@ -178,8 +179,10 @@ class RoundTraceCollector:
         long runs stay bounded.
 
     The collector implements the :class:`repro.net.path.PathObserver`
-    interface and can be attached to any number of paths (spans carry the
-    path id).
+    interface and can be attached to any number of paths. Spans carry
+    the collector's own path number, given in :meth:`attach` order
+    (``attached`` counts them): simulators all number their paths from
+    0, and runs share key material.
     """
 
     def __init__(self, capacity: int = 100_000) -> None:
@@ -187,14 +190,23 @@ class RoundTraceCollector:
             raise ConfigurationError("capacity must be positive")
         self._capacity = capacity
         self._spans: "OrderedDict[str, RoundSpan]" = OrderedDict()
-        self._path_lengths: Dict[int, int] = {}
+        #: ``(number, length)`` per attached path and per link of one;
+        #: made on first attach, so a fresh collector pickles.
+        self._paths: Optional[WeakKeyDictionary] = None
+        self.attached = 0
         self.evicted = 0
 
     # -- path attachment ---------------------------------------------------
 
     def attach(self, path) -> None:
-        """Subscribe to ``path``'s link and node events."""
-        self._path_lengths[path.path_id] = path.length
+        """Subscribe to ``path``'s link and node events (idempotent; a
+        re-attached path keeps its number)."""
+        if self._paths is None:
+            self._paths = WeakKeyDictionary()
+        if path not in self._paths:
+            for key in [path, *path.links]:
+                self._paths[key] = (self.attached, path.length)
+            self.attached += 1
         path.add_observer(self)
 
     def detach(self, path) -> None:
@@ -203,53 +215,54 @@ class RoundTraceCollector:
     # -- PathObserver interface --------------------------------------------
 
     def on_transmit(self, link, packet: Packet, direction: Direction) -> None:
-        self._record(link.simulator.now, link.path_id, packet, direction,
-                     SEND, link=link.index)
+        self._record(link.simulator.now, self._paths[link], packet,
+                     direction, SEND, link=link.index)
 
     def on_loss(self, link, packet: Packet, direction: Direction) -> None:
-        self._record(link.simulator.now, link.path_id, packet, direction,
-                     LOSS, link=link.index)
+        self._record(link.simulator.now, self._paths[link], packet,
+                     direction, LOSS, link=link.index)
 
     def on_deliver(self, link, packet: Packet, direction: Direction) -> None:
-        self._record(link.simulator.now, link.path_id, packet, direction,
-                     DELIVER, link=link.index)
+        self._record(link.simulator.now, self._paths[link], packet,
+                     direction, DELIVER, link=link.index)
 
     def on_node_drop(self, node, packet: Packet, direction: Direction,
                      cause: str) -> None:
-        self._record(node.path.simulator.now, node.path.path_id, packet,
+        self._record(node.path.simulator.now, self._paths[node.path], packet,
                      direction, DROP, node=node.position)
 
     # -- recording ---------------------------------------------------------
 
+    def _open(self, identifier: str, sequence: int, path_id: int,
+              path_length: int, start: float) -> RoundSpan:
+        """The span for ``(path_id, identifier)``, created if new."""
+        key = f"{path_id}:{identifier}"
+        span = self._spans.get(key)
+        if span is None:
+            span = self._spans[key] = RoundSpan(
+                identifier=identifier,
+                sequence=sequence,
+                path_id=path_id,
+                path_length=path_length,
+                start=start,
+            )
+            if len(self._spans) > self._capacity:
+                self._spans.popitem(last=False)
+                self.evicted += 1
+        return span
+
     def _record(
         self,
         now: float,
-        path_id: int,
+        path: Tuple[int, int],
         packet: Packet,
         direction: Direction,
         kind: str,
         link: Optional[int] = None,
         node: Optional[int] = None,
     ) -> None:
-        identifier = packet.identifier.hex()
-        # Keyed by (path, identifier): concurrent protocol instances
-        # built from the same key material emit identical packet
-        # identifiers, so the identifier alone would merge rounds from
-        # different paths into one span.
-        key = f"{path_id}:{identifier}"
-        span = self._spans.get(key)
-        if span is None:
-            span = RoundSpan(
-                identifier=identifier,
-                sequence=packet.sequence,
-                path_id=path_id,
-                path_length=self._path_lengths.get(path_id, 0),
-                start=now,
-            )
-            self._spans[key] = span
-            if len(self._spans) > self._capacity:
-                self._spans.popitem(last=False)
-                self.evicted += 1
+        span = self._open(packet.identifier.hex(), packet.sequence, *path,
+                          now)
         span.add(
             {
                 "t": now,
@@ -261,6 +274,20 @@ class RoundTraceCollector:
                 "report": bool(getattr(packet, "is_report", False)),
             }
         )
+
+    def absorb(self, spans: List[RoundSpan], attached: int,
+               evicted: int) -> None:
+        """Append another collector's spans, its path numbers shifted
+        after this one's, as if they had been recorded here."""
+        offset = self.attached
+        for span in spans:
+            mine = self._open(span.identifier, span.sequence,
+                              offset + span.path_id, span.path_length,
+                              span.start)
+            for event in span.events:
+                mine.add(event)
+        self.attached += attached
+        self.evicted += evicted
 
     # -- querying ----------------------------------------------------------
 
@@ -293,39 +320,13 @@ class RoundTraceCollector:
         return written
 
 
-# -- process-wide active collector ----------------------------------------
-
-
-class _ActiveState:
-    __slots__ = ("collector",)
-
-    def __init__(self) -> None:
-        self.collector: Optional[RoundTraceCollector] = None
-
-
-_STATE = _ActiveState()
-
-
 def get_collector() -> Optional[RoundTraceCollector]:
-    """The collector new paths auto-attach to, or None."""
-    return _STATE.collector
+    """The active session's collector, which new paths auto-attach to."""
+    return ACTIVE.session.collector
 
 
-def set_collector(collector: Optional[RoundTraceCollector]) -> None:
-    _STATE.collector = collector
-
-
-@contextmanager
-def using_collector(
-    collector: Optional[RoundTraceCollector],
-) -> Iterator[Optional[RoundTraceCollector]]:
-    """Activate ``collector`` for the dynamic extent of the block."""
-    previous = _STATE.collector
-    _STATE.collector = collector
-    try:
-        yield collector
-    finally:
-        _STATE.collector = previous
+#: ``with using_collector(collector):`` swaps the session's collector.
+using_collector = partial(using_part, "collector")
 
 
 def read_jsonl(path: str) -> List[dict]:
@@ -343,7 +344,6 @@ __all__ = [
     "RoundSpan",
     "RoundTraceCollector",
     "get_collector",
-    "set_collector",
     "using_collector",
     "read_jsonl",
     "SEND",

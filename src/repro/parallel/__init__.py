@@ -17,7 +17,6 @@ See ``docs/PARALLEL.md``.
 
 from repro.parallel.engine import (
     RetryPolicy,
-    call_with_metrics,
     default_jobs,
     resolve_jobs,
     run_tasks,
@@ -28,7 +27,6 @@ from repro.parallel.engine import (
 
 __all__ = [
     "RetryPolicy",
-    "call_with_metrics",
     "default_jobs",
     "resolve_jobs",
     "run_tasks",

@@ -18,10 +18,9 @@ Warm workers: every parallel call shares one process pool
 changes or the pool breaks. Workers are forked once, so they see module
 state as it was at that moment; a task must depend only on its payload.
 
-Worker-side telemetry: :func:`call_with_metrics` runs a task under its
-own fresh :class:`~repro.obs.registry.MetricsRegistry` and returns the
-snapshot alongside the result, so parents can merge worker metrics with
-:meth:`MetricsRegistry.merge`.
+Session capture: under a live observability session every task runs in
+a fresh session of the same shape and the parent absorbs its ledger,
+metrics and spans in payload order (:mod:`repro.obs.session`).
 """
 
 from __future__ import annotations
@@ -37,10 +36,13 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.exceptions import ConfigurationError, TaskRetryError
 from repro.net.rng import RngFactory
+from repro.obs.registry import get_registry
+from repro.obs.session import Session, current, reset, using_session
 
 P = TypeVar("P")
 R = TypeVar("R")
@@ -100,26 +102,17 @@ _POOL: Optional[Tuple[int, int, ProcessPoolExecutor]] = None
 
 
 def _init_worker() -> None:
-    """Pool initializer: start each worker with null observability.
+    """Pool initializer: start each worker with the null session.
 
-    A worker forked while the parent sits inside ``using_registry(...)``
-    or ``using_ledger(...)`` would otherwise keep recording into its
-    private copy of that session for the life of the pool. A task that
-    fans out again leaves the worker owning a pool of its own; the exit
-    hook shuts that down before the worker joins its children, which
-    would otherwise wait forever for work.
+    A worker forked inside ``using_session(...)`` would otherwise keep
+    recording into its private copy of that session. A task that fans
+    out again leaves the worker owning a pool of its own; the exit hook
+    shuts that down before the worker joins its children, which would
+    otherwise wait forever for work.
     """
     from multiprocessing.util import Finalize
 
-    from repro.obs.ledger import set_ledger
-    from repro.obs.profile import set_profiler
-    from repro.obs.registry import set_registry
-    from repro.obs.tracing import set_collector
-
-    set_registry(None)
-    set_ledger(None)
-    set_profiler(None)
-    set_collector(None)
+    reset()
     Finalize(None, _release_pool, exitpriority=100)
 
 
@@ -239,19 +232,11 @@ def _failure_kind(exc: BaseException) -> str:
 
 
 def _record_failure(exc: BaseException) -> None:
-    from repro.obs.registry import get_registry
-
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("parallel.task_failures", kind=_failure_kind(exc)).inc()
+    get_registry().counter("parallel.task_failures", kind=_failure_kind(exc)).inc()
 
 
 def _record_retry() -> None:
-    from repro.obs.registry import get_registry
-
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("parallel.task_retries").inc()
+    get_registry().counter("parallel.task_retries").inc()
 
 
 def _serial_attempts(func: Callable[[P], R], payload: P, index: int,
@@ -397,9 +382,37 @@ def run_tasks_completed(
     once (tasks already running finish in the background on the warm
     pool); with one, failed tasks are retried and only a task exhausting
     ``max_attempts`` raises (:class:`~repro.exceptions.TaskRetryError`).
+    A task's session capture is absorbed once all earlier payloads'
+    are, so absorption follows payload order.
     """
     payloads = list(payloads)
     jobs = resolve_jobs(jobs)
+    session = current()
+    if not session.live:
+        yield from _completed(func, payloads, jobs, retry)
+        return
+    captured: Dict[int, tuple] = {}
+    absorbed = 0
+    task = partial(_captured, func, session.fresh())
+    for index, (result, capture) in _completed(task, payloads, jobs, retry):
+        captured[index] = capture
+        while absorbed in captured:
+            session.absorb(captured.pop(absorbed))
+            absorbed += 1
+        yield index, result
+
+
+def _captured(func: Callable[[P], R], template: Session, payload: P):
+    """``func(payload)`` under a fresh session shaped like ``template``,
+    returned as ``(result, capture)``."""
+    with using_session(template.fresh()) as session:
+        result = func(payload)
+    return result, session.capture()
+
+
+def _completed(func: Callable[[P], R], payloads: List[P], jobs: int,
+               retry: Optional[RetryPolicy]) -> Iterator[Tuple[int, R]]:
+    """Bare execution behind :func:`run_tasks_completed`."""
     if jobs == 1 or len(payloads) <= 1:
         for index, payload in enumerate(payloads):
             if retry is not None:
@@ -420,23 +433,3 @@ def run_tasks_completed(
     finally:
         for future in pending:
             future.cancel()
-
-
-def call_with_metrics(
-    func: Callable[[], R],
-    collect_metrics: bool,
-) -> Tuple[R, Optional[dict]]:
-    """Invoke ``func``, optionally under a fresh metrics registry.
-
-    Returns ``(result, snapshot)``; the snapshot is ``None`` when metrics
-    collection is off. The snapshot is plain JSON-serializable data, so
-    workers can ship it back across the process boundary for the parent
-    to fold in with :meth:`MetricsRegistry.merge`.
-    """
-    if not collect_metrics:
-        return func(), None
-    from repro.obs.registry import MetricsRegistry, using_registry
-
-    with using_registry(MetricsRegistry()) as registry:
-        result = func()
-    return result, registry.snapshot()

@@ -23,7 +23,11 @@ from repro.mc.detection import (
     DetectionExperiment,
     resolve_shards,
 )
-from repro.obs.registry import deterministic_view
+from repro.obs.registry import (
+    MetricsRegistry,
+    deterministic_view,
+    using_registry,
+)
 from repro.workloads.scenarios import paper_scenario
 
 SCENARIO = paper_scenario()
@@ -55,21 +59,24 @@ def report_key(report):
     ]
 
 
+def metered_run_all(scale, jobs):
+    """``run_all`` under a session with a registry: every record carries
+    its experiment's metrics snapshot."""
+    with using_registry(MetricsRegistry()):
+        return run_all(scale=scale, seed=0, jobs=jobs)
+
+
 class TestRunAllParallelDeterminism:
     def test_identical_reports_across_jobs(self, tiny_scale):
-        serial = run_all(scale=tiny_scale, seed=0, collect_metrics=True,
-                         jobs=1)
+        serial = metered_run_all(tiny_scale, jobs=1)
         baseline = report_key(serial)
         for jobs in (2, 4):
-            parallel = run_all(scale=tiny_scale, seed=0,
-                               collect_metrics=True, jobs=jobs)
+            parallel = metered_run_all(tiny_scale, jobs=jobs)
             assert report_key(parallel) == baseline, f"jobs={jobs} diverged"
 
     def test_merged_metrics_match_serial(self, tiny_scale):
-        serial = run_all(scale=tiny_scale, seed=0, collect_metrics=True,
-                         jobs=1)
-        parallel = run_all(scale=tiny_scale, seed=0, collect_metrics=True,
-                           jobs=2)
+        serial = metered_run_all(tiny_scale, jobs=1)
+        parallel = metered_run_all(tiny_scale, jobs=2)
         merged_serial = deterministic_view(serial.merged_metrics())
         merged_parallel = deterministic_view(parallel.merged_metrics())
         assert merged_serial == merged_parallel

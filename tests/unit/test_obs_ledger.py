@@ -13,7 +13,6 @@ from repro.obs.ledger import (
     ledger_runs,
     read_ledger_jsonl,
     render_explanation,
-    set_ledger,
     using_ledger,
 )
 
@@ -98,14 +97,6 @@ class TestActiveState:
             get_ledger().record("run_start", run=0)
         assert get_ledger() is NULL_LEDGER
         assert len(ledger) == 1
-
-    def test_set_ledger_none_restores_null(self):
-        ledger = EvidenceLedger()
-        set_ledger(ledger)
-        try:
-            assert get_ledger() is ledger
-        finally:
-            assert set_ledger(None) is NULL_LEDGER
 
 
 class TestRoundTripAndExplanation:

@@ -7,7 +7,6 @@ from repro.obs.profile import (
     PhaseProfiler,
     get_profiler,
     phase,
-    set_profiler,
     using_profiler,
 )
 from repro.obs.registry import MetricsRegistry, deterministic_view, using_registry
@@ -119,10 +118,6 @@ class TestActiveState:
             assert active is profiler
             assert get_profiler() is profiler
         assert get_profiler() is NULL_PROFILER
-
-    def test_set_profiler_none_restores_null(self):
-        set_profiler(PhaseProfiler(MetricsRegistry()))
-        assert set_profiler(None) is NULL_PROFILER
 
     def test_null_profiler_subclass_contract(self):
         profiler = NullProfiler()

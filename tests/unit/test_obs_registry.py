@@ -15,7 +15,6 @@ from repro.obs.registry import (
     deterministic_view,
     get_registry,
     metrics_enabled,
-    set_registry,
     using_registry,
 )
 
@@ -285,12 +284,6 @@ class TestActiveRegistry:
         with pytest.raises(RuntimeError):
             with using_registry(MetricsRegistry()):
                 raise RuntimeError("boom")
-        assert get_registry() is NULL_REGISTRY
-
-    def test_set_registry_none_restores_null(self):
-        registry = MetricsRegistry()
-        assert set_registry(registry) is registry
-        assert set_registry(None) is NULL_REGISTRY
         assert get_registry() is NULL_REGISTRY
 
     def test_nested_contexts(self):

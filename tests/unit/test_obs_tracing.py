@@ -15,7 +15,6 @@ from repro.obs.tracing import (
     RoundTraceCollector,
     get_collector,
     read_jsonl,
-    set_collector,
     using_collector,
 )
 from repro.protocols.registry import make_protocol
@@ -220,13 +219,6 @@ class TestRoundTraceCollector:
         protocol.run_traffic(count=3, rate=1000.0)
         assert len(collector) == 3
 
-    def test_set_collector_none_clears(self):
-        collector = RoundTraceCollector()
-        set_collector(collector)
-        assert get_collector() is collector
-        set_collector(None)
-        assert get_collector() is None
-
     def test_collection_does_not_change_behavior(self):
         params = ProtocolParams(path_length=3, natural_loss=0.2, alpha=0.5)
 
@@ -241,6 +233,26 @@ class TestRoundTraceCollector:
             return protocol.board.scores
 
         assert run(collected=True) == run(collected=False)
+
+
+class TestMultiRunTrace:
+    def test_spans_never_mix_runs(self):
+        """Every simulator numbers its paths from 0 and identical runs
+        share key material, so only the collector's own path numbers keep
+        the two runs' rounds in separate spans."""
+        collector = RoundTraceCollector()
+        with using_collector(collector):
+            for _ in range(2):
+                simulator = Simulator(seed=5)
+                make_protocol(
+                    "full-ack", simulator, ProtocolParams(path_length=2)
+                ).run_traffic(count=4, rate=1000.0)
+        spans = collector.spans()
+        assert len(spans) == 8
+        assert [span.path_id for span in spans] == [0] * 4 + [1] * 4
+        for span in spans:
+            times = [event["t"] for event in span.events]
+            assert times == sorted(times)
 
 
 def event_count(collector):

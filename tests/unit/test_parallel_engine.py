@@ -11,11 +11,10 @@ import pytest
 
 from repro.exceptions import ConfigurationError, TaskRetryError
 from repro.obs.ledger import EvidenceLedger, get_ledger, using_ledger
-from repro.obs.profile import get_profiler
-from repro.obs.registry import MetricsRegistry, NullRegistry, get_registry, using_registry
+from repro.obs.registry import MetricsRegistry, get_registry, using_registry
+from repro.obs.session import current
 from repro.parallel import (
     RetryPolicy,
-    call_with_metrics,
     default_jobs,
     engine,
     resolve_jobs,
@@ -72,14 +71,34 @@ def _nested_squares(values):
 
 
 def _observability_state(_):
-    return (get_registry().enabled, get_ledger().enabled,
-            get_profiler().enabled)
+    """What the task's session looks like, then leave a trace in it: a
+    session reused across tasks would show the earlier tasks' marks."""
+    ledger, registry = get_ledger(), get_registry()
+    state = (current().live, len(ledger), registry.counter_value("marks"))
+    ledger.record("mark")
+    registry.counter("marks").inc()
+    return state
 
 
-def _counting_task():
-    registry = get_registry()
-    registry.counter("task.calls").inc()
-    return "done"
+def _gauge_after(arg):
+    """Set gauge ``g`` to ``value`` after ``delay`` seconds."""
+    value, delay = arg
+    time.sleep(delay)
+    get_registry().gauge("g").set(value)
+    return value
+
+
+def _records_then_flakes(arg):
+    """Records one entry per attempt; the first attempt then fails."""
+    value, marker = arg
+    first = not os.path.exists(marker)
+    get_ledger().record("attempt", value=value, first=first)
+    get_registry().counter("attempts").inc()
+    if first:
+        with open(marker, "w") as handle:
+            handle.write("failed-once")
+        raise RuntimeError("scripted transient failure")
+    return value
 
 
 class TestResolveJobs:
@@ -235,25 +254,6 @@ class TestSerialRetry:
         assert counters["parallel.task_failures"] == 1
 
 
-class TestCallWithMetrics:
-    def test_disabled_returns_no_snapshot(self):
-        result, snapshot = call_with_metrics(lambda: 7, collect_metrics=False)
-        assert result == 7
-        assert snapshot is None
-
-    def test_enabled_returns_fresh_snapshot(self):
-        result, snapshot = call_with_metrics(
-            _counting_task, collect_metrics=True
-        )
-        assert result == "done"
-        counters = {e["name"]: e["value"] for e in snapshot["counters"]}
-        assert counters == {"task.calls": 1}
-
-    def test_registry_is_scoped_to_the_call(self):
-        call_with_metrics(_counting_task, collect_metrics=True)
-        assert isinstance(get_registry(), NullRegistry)
-
-
 def _pool_identity():
     return None if engine._POOL is None else engine._POOL[2]
 
@@ -341,7 +341,61 @@ class TestSharedPool:
     def test_workers_start_with_null_observability(self):
         if engine._POOL is not None:  # the first pool must fork in here
             engine._discard_pool(engine._POOL[2])
-        with using_registry(MetricsRegistry()), using_ledger(EvidenceLedger()):
+        with using_registry(MetricsRegistry()) as registry, \
+                using_ledger(EvidenceLedger()) as ledger:
             inside = run_tasks(_observability_state, range(4), jobs=2)
         outside = run_tasks(_observability_state, range(4), jobs=2)
-        assert inside == outside == [(False, False, False)] * 4
+        # A live parent: each task gets a fresh, empty, live session.
+        assert inside == [(True, 0, 0)] * 4
+        assert len(ledger) == 4 and registry.counter_value("marks") == 4
+        # A null parent: workers forked inside the live session still
+        # run bare.
+        assert outside == [(False, 0, 0)] * 4
+
+
+class TestSessionCapture:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_null_session_runs_bare(self, jobs):
+        assert run_tasks(_observability_state, range(3), jobs=jobs) == [
+            (False, 0, 0)
+        ] * 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_parts_are_absorbed_in_payload_order(self, jobs):
+        with using_registry(MetricsRegistry()) as registry, \
+                using_ledger(EvidenceLedger()) as ledger:
+            states = run_tasks(_observability_state, range(3), jobs=jobs)
+        assert states == [(True, 0, 0)] * 3
+        assert [entry["seq"] for entry in ledger.entries()] == [0, 1, 2]
+        assert registry.counter_value("marks") == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_gauges_end_at_the_later_tasks_value(self, jobs):
+        # The first payload finishes last when it runs in a pool.
+        with using_registry(MetricsRegistry()) as registry:
+            run_tasks(_gauge_after, [(1.0, 0.3), (2.0, 0.0)], jobs=jobs)
+        assert registry.gauge("g").value == 2.0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_retried_task_contributes_only_its_successful_attempt(
+        self, jobs, tmp_path
+    ):
+        payloads = [(value, str(tmp_path / f"marker-{value}"))
+                    for value in (7, 8)]
+        policy = RetryPolicy(max_attempts=2, backoff=0.0)
+        with using_registry(MetricsRegistry()) as registry, \
+                using_ledger(EvidenceLedger()) as ledger:
+            assert run_tasks(_records_then_flakes, payloads, jobs=jobs,
+                             retry=policy) == [7, 8]
+        assert ledger.entries() == [
+            {"seq": 0, "kind": "attempt", "value": 7, "first": False},
+            {"seq": 1, "kind": "attempt", "value": 8, "first": False},
+        ]
+        assert registry.counter_value("attempts") == 2
+        assert registry.counter_value("parallel.task_retries") == 2
+
+    def test_capture_scope_ends_with_the_call(self):
+        with using_registry(MetricsRegistry()) as registry:
+            run_tasks(_observability_state, range(2), jobs=1)
+            assert current().registry is registry
+        assert not current().live
