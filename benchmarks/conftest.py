@@ -42,8 +42,8 @@ BENCH_TOPOLOGY_PATH = Path(__file__).resolve().parent.parent / (
     "BENCH_topology.json"
 )
 
-#: Auditor telemetry: cold vs warm-cache vs parallel full-repo audit
-#: wall clock, with file/finding counts and cache hit rates.
+#: Auditor telemetry: cold full-repo audit wall clock, with file and
+#: finding counts.
 BENCH_AUDIT_PATH = Path(__file__).resolve().parent.parent / (
     "BENCH_audit.json"
 )
@@ -121,7 +121,7 @@ def pytest_sessionfinish(session, exitstatus):
     into ``BENCH_fastpath.json``; benchmarks that declare a
     ``topology`` (the mesh/netexp suite) split out into
     ``BENCH_topology.json``; benchmarks that declare an ``audit_mode``
-    (the auditor cold/warm/parallel suite) split out into
+    (the cold auditor run) split out into
     ``BENCH_audit.json``; everything else lands in
     ``BENCH_observability.json`` as before.
     """
@@ -166,10 +166,6 @@ def pytest_sessionfinish(session, exitstatus):
                 mode=extra["audit_mode"],
                 files=extra.get("files"),
                 findings=extra.get("findings"),
-                jobs=extra.get("audit_jobs"),
-                cache_hits=extra.get("cache_hits"),
-                cold_seconds=extra.get("cold_seconds"),
-                warm_speedup=extra.get("warm_speedup"),
             )
             audit_records.append(
                 {k: v for k, v in record.items() if v is not None}

@@ -1,84 +1,20 @@
-"""Benchmark: full-repo audit — cold, warm-cache, and parallel.
+"""Benchmark: full-repo audit, cold and serial.
 
-Times ``audit_paths`` over ``src/`` and ``benchmarks/`` in three modes
-and records them into ``BENCH_audit.json`` (via the conftest session
-hook): a cold run with an empty cache, a warm run where every file hits
-the content-hash cache (parsing and per-file rules skipped entirely —
-only the whole-program stage recomputes), and a cold run fanned out over
-two worker processes. The warm record carries the measured
-``warm_speedup`` against its own cold timing; the incremental cache
-exists to make re-audits cheap, so the suite asserts the speedup stays
-above 3x rather than merely reporting it.
+Times one ``audit_paths`` run over ``src/`` and ``benchmarks/`` — the
+audit CI runs — and records it into ``BENCH_audit.json`` (via the
+conftest session hook).
 """
 
-import time
-
-from repro.audit import AuditCache, audit_paths
-from repro.audit.cache import rules_signature
-from repro.audit.catalog import all_rules
+from repro.audit import audit_paths
 from repro.audit.engine import collect_files
 
 PATHS = ["src", "benchmarks"]
 
-#: Warm runs must beat cold by at least this factor (docs/AUDIT.md).
-MIN_WARM_SPEEDUP = 3.0
-
-
-def fresh_cache():
-    return AuditCache(rules_signature(all_rules()))
-
 
 def test_bench_audit_cold(benchmark):
     findings = benchmark.pedantic(
-        lambda: audit_paths(PATHS, cache=fresh_cache()),
-        rounds=1,
-        iterations=1,
+        lambda: audit_paths(PATHS), rounds=1, iterations=1
     )
     benchmark.extra_info["audit_mode"] = "cold"
     benchmark.extra_info["files"] = len(collect_files(PATHS))
     benchmark.extra_info["findings"] = len(findings)
-
-
-def test_bench_audit_warm(benchmark):
-    cache = fresh_cache()
-    started = time.perf_counter()
-    cold_findings = audit_paths(PATHS, cache=cache)
-    cold_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    warm_findings = audit_paths(PATHS, cache=cache)
-    warm_seconds = time.perf_counter() - started
-
-    benchmark.pedantic(
-        lambda: audit_paths(PATHS, cache=cache), rounds=1, iterations=1
-    )
-    speedup = cold_seconds / warm_seconds if warm_seconds else float("inf")
-    benchmark.extra_info["audit_mode"] = "warm"
-    benchmark.extra_info["files"] = len(collect_files(PATHS))
-    benchmark.extra_info["findings"] = len(warm_findings)
-    benchmark.extra_info["cache_hits"] = cache.hits
-    benchmark.extra_info["cold_seconds"] = round(cold_seconds, 6)
-    benchmark.extra_info["warm_speedup"] = round(speedup, 3)
-    # Identical findings, most of an order of magnitude faster.
-    assert [f.fingerprint for f in warm_findings] == [
-        f.fingerprint for f in cold_findings
-    ]
-    assert speedup >= MIN_WARM_SPEEDUP, (
-        f"warm audit only {speedup:.1f}x faster than cold "
-        f"({warm_seconds:.3f}s vs {cold_seconds:.3f}s)"
-    )
-
-
-def test_bench_audit_parallel(benchmark):
-    serial = audit_paths(PATHS, jobs=1)
-    fanned = benchmark.pedantic(
-        lambda: audit_paths(PATHS, jobs=2), rounds=1, iterations=1
-    )
-    benchmark.extra_info["audit_mode"] = "parallel"
-    benchmark.extra_info["audit_jobs"] = 2
-    benchmark.extra_info["files"] = len(collect_files(PATHS))
-    benchmark.extra_info["findings"] = len(fanned)
-    # Fan-out must stay byte-identical to serial analysis.
-    assert [f.fingerprint for f in fanned] == [
-        f.fingerprint for f in serial
-    ]

@@ -1,4 +1,4 @@
-"""Static determinism & crypto-boundary auditor (plus runtime sanitizer).
+"""Static determinism & crypto-boundary auditor.
 
 The repo's two headline guarantees are behavioral, not structural:
 
@@ -18,28 +18,22 @@ package codifies the invariants as machine-checked rules:
 * :mod:`repro.audit.engine` — AST rule engine: per-file module contexts,
   qualified-name resolution through import tables, findings with
   severity, and ``# repro: allow(<rule-id>)`` suppression comments;
-* :mod:`repro.audit.graph` — the whole-program layer: serializable
-  per-module call-graph facts, the assembled :class:`ProjectIndex`, and
-  BFS sink-chain search, which is what makes the determinism rules
-  *interprocedural* (:mod:`repro.audit.rules_interproc`);
+* :mod:`repro.audit.graph` — the whole-program layer: per-module
+  call-graph facts, the assembled :class:`ProjectIndex`, and BFS
+  sink-chain search, which the call-chain rules
+  (:mod:`repro.audit.rules_interproc`) walk from every function;
 * :mod:`repro.audit.rules_determinism`, :mod:`~repro.audit.rules_crypto`,
-  :mod:`~repro.audit.rules_simtime`, :mod:`~repro.audit.rules_iteration`,
-  :mod:`~repro.audit.rules_rngflow`, :mod:`~repro.audit.rules_shared`,
-  :mod:`~repro.audit.rules_interproc`
-  — the rule families (see ``docs/AUDIT.md`` for the catalogue);
+  :mod:`~repro.audit.rules_iteration`, :mod:`~repro.audit.rules_rngflow`,
+  :mod:`~repro.audit.rules_interproc` and the others — the rule families
+  (see ``docs/AUDIT.md`` for the catalogue);
 * :mod:`repro.audit.baseline` — fingerprinted baseline files that
   grandfather deliberate exceptions while new findings still fail CI;
-* :mod:`repro.audit.cache` — content-hash incremental cache: unchanged
-  files skip parsing entirely (``audit --cache``);
 * :mod:`repro.audit.sarif` — SARIF 2.1.0 export for GitHub code
   scanning (``audit --sarif``);
-* :mod:`repro.audit.cli` — ``repro-aai audit`` / ``python -m repro.audit``;
-* :mod:`repro.audit.runtime` — a test-time sanitizer that patches
-  wall-clock and global-RNG entry points to raise inside simulator scope.
+* :mod:`repro.audit.cli` — ``repro-aai audit`` / ``python -m repro.audit``.
 """
 
 from repro.audit.baseline import load_baseline, write_baseline
-from repro.audit.cache import AuditCache
 from repro.audit.catalog import all_rules, find_rule, known_rule_ids
 from repro.audit.engine import (
     Finding,
@@ -49,23 +43,19 @@ from repro.audit.engine import (
     audit_source,
 )
 from repro.audit.graph import ProjectIndex
-from repro.audit.runtime import SanitizerViolation, sanitized
 from repro.audit.sarif import to_sarif, write_sarif
 
 __all__ = [
-    "AuditCache",
     "Finding",
     "ProjectIndex",
     "ProjectRule",
     "Rule",
-    "SanitizerViolation",
     "all_rules",
     "audit_paths",
     "audit_source",
     "find_rule",
     "known_rule_ids",
     "load_baseline",
-    "sanitized",
     "to_sarif",
     "write_baseline",
     "write_sarif",

@@ -20,8 +20,6 @@ from repro.audit import (
     rules_iteration,
     rules_obs,
     rules_rngflow,
-    rules_shared,
-    rules_simtime,
 )
 from repro.audit.engine import PARSE_ERROR, UNKNOWN_SUPPRESSION, Rule
 
@@ -38,12 +36,10 @@ _RULE_MODULES = (
     rules_determinism,
     rules_crypto,
     rules_faults,
-    rules_simtime,
     rules_iteration,
     rules_fastpath,
     rules_obs,
     rules_rngflow,
-    rules_shared,
     rules_interproc,
 )
 

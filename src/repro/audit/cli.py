@@ -18,7 +18,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.audit.baseline import DEFAULT_BASELINE, load_baseline, write_baseline
-from repro.audit.cache import AuditCache
 from repro.audit.catalog import render_rule_listing, select_rules
 from repro.audit.engine import Finding, apply_baseline, audit_paths
 from repro.audit.sarif import write_sarif
@@ -60,16 +59,6 @@ def configure_audit_parser(parser: argparse.ArgumentParser) -> None:
         "--ignore", action="append", default=None, metavar="IDS",
         help="skip these rule ids (repeatable, comma-separable); "
              "unknown ids are a usage error (exit 2)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="analyze files over N worker processes "
-             "(repro.parallel; byte-identical to serial)",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="incremental analysis cache: unchanged files (by content "
-             "hash) skip parsing and per-file rules",
     )
     parser.add_argument(
         "--sarif", default=None, metavar="FILE",
@@ -144,17 +133,9 @@ def run_audit(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"audit: {exc.args[0]}", file=sys.stderr)
         return 2
-    cache = None
-    if args.cache:
-        cache = AuditCache.load(args.cache, rules)
     findings = audit_paths(
-        args.paths,
-        rules=rules if (select or ignore) else None,
-        jobs=max(1, args.jobs),
-        cache=cache,
+        args.paths, rules=rules if (select or ignore) else None
     )
-    if cache is not None:
-        cache.save(args.cache)
     if args.write_baseline:
         count = write_baseline(args.baseline, findings)
         print(f"baseline with {count} entr{'y' if count == 1 else 'ies'} "

@@ -8,15 +8,11 @@ hands it to every registered :class:`Rule`. Rules walk the AST and emit
 unknown rule ids inside suppressions as findings themselves (``AUD001``),
 so a typo cannot silently disable a rule.
 
-Since the whole-program pass, per-file analysis is two-stage: each file
-yields a :class:`FileAnalysis` (its per-file findings plus the
-serializable call-graph facts of :mod:`repro.audit.graph`), and the
-:class:`ProjectRule` subclasses then check properties of the *assembled*
-project — call chains that cross files, which no single
-:class:`ModuleContext` can see. ``FileAnalysis`` objects are plain data,
-which is what lets the incremental cache (:mod:`repro.audit.cache`)
-skip parsing entirely for unchanged files and ``--jobs N`` fan file
-analysis out over :func:`repro.parallel.run_tasks`.
+Analysis is two-stage: each file yields a :class:`FileAnalysis` (its
+per-file findings plus the call-graph facts of :mod:`repro.audit.graph`),
+and the :class:`ProjectRule` subclasses then check properties of the
+*assembled* project — call chains that cross files, which no single
+:class:`ModuleContext` can see.
 
 Scoping: most rules only make sense for specific packages (wall-clock is
 banned in simulator code but ``time.monotonic`` is fine in telemetry).
@@ -193,28 +189,6 @@ class ModuleContext:
         return ".".join(reversed(parts))
 
 
-def iter_qualified_uses(ctx: "ModuleContext") -> Iterator["tuple[ast.AST, str]"]:
-    """Yield ``(node, dotted_name)`` for maximal Name/Attribute chains.
-
-    ``np.random.seed`` yields once as ``numpy.random.seed`` — the inner
-    ``np.random`` and ``np`` nodes are skipped, so rules matching by
-    prefix report each use exactly once.
-    """
-    inner = {
-        id(node.value)
-        for node in ast.walk(ctx.tree)
-        if isinstance(node, ast.Attribute)
-    }
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.Attribute, ast.Name)):
-            continue
-        if id(node) in inner:
-            continue
-        qualified = ctx.resolve(node)
-        if qualified is not None:
-            yield node, qualified
-
-
 def module_name_for(path: str) -> str:
     """Dotted module name for ``path``.
 
@@ -374,48 +348,12 @@ def split_rules(
 
 @dataclass
 class FileAnalysis:
-    """One file's per-file findings plus its whole-program facts.
-
-    Everything here is derived purely from the file's content and the
-    rule set, which is what makes it cacheable by content hash
-    (:mod:`repro.audit.cache`) and transportable across worker processes
-    (``audit --jobs N``).
-    """
+    """One file's per-file findings plus its whole-program facts."""
 
     path: str
     module: str
     findings: List[Finding]
     facts: object  #: :class:`repro.audit.graph.ModuleFacts`
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "findings": [
-                {
-                    "rule": f.rule,
-                    "path": f.path,
-                    "line": f.line,
-                    "col": f.col,
-                    "message": f.message,
-                    "severity": f.severity,
-                    "line_text": f.line_text,
-                }
-                for f in self.findings
-            ],
-            "facts": self.facts.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FileAnalysis":
-        from repro.audit.graph import ModuleFacts
-
-        return cls(
-            path=payload["path"],
-            module=payload["module"],
-            findings=[Finding(**entry) for entry in payload["findings"]],
-            facts=ModuleFacts.from_dict(payload["facts"]),
-        )
 
 
 def analyze_source(
@@ -473,7 +411,7 @@ def known_ids_for(rules: Sequence[Rule]) -> Set[str]:
     """Rule ids suppressions may legitimately name under ``rules``.
 
     Uses the full catalogue whenever the caller did not narrow the rule
-    set explicitly via ids — an ``--select DET001`` run must not report
+    set explicitly via ids — an ``--select DET005`` run must not report
     AUD001 for a perfectly valid ``# repro: allow(RNG002)`` elsewhere.
     """
     try:
@@ -534,27 +472,6 @@ def audit_source(
     return findings
 
 
-def _analyze_file_task(
-    payload: "tuple[str, str, Optional[str], Optional[tuple]]",
-) -> dict:
-    """Worker task for ``audit --jobs N``: analyze one file, return data.
-
-    Module-level and payload-pure (the :mod:`repro.parallel` contract):
-    the result depends only on the file path, its content, and the rule
-    ids, so parallel analysis is byte-identical to serial. Rules travel
-    as ids (reconstructed from the worker's catalogue), not objects.
-    """
-    filename, display, module, rule_ids = payload
-    rules: Optional[List[Rule]] = None
-    if rule_ids is not None:
-        from repro.audit.catalog import all_rules
-
-        wanted = set(rule_ids)
-        rules = [rule for rule in all_rules() if rule.id in wanted]
-    analysis = _analyze_file(filename, display, module, rules=rules)
-    return analysis.to_dict()
-
-
 def _analyze_file(
     filename: str,
     display: str,
@@ -587,61 +504,26 @@ def audit_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
     root: Optional[str] = None,
-    jobs: int = 1,
-    cache: Optional[object] = None,
 ) -> List[Finding]:
-    """Audit every ``.py`` file under ``paths``; findings in stable order.
-
-    ``jobs > 1`` fans the per-file stage out over a process pool
-    (:func:`repro.parallel.run_tasks`); the project stage always runs in
-    the parent over the assembled facts. ``cache`` is an
-    :class:`repro.audit.cache.AuditCache`: files whose content hash (and
-    rule signature) match a cached entry skip parsing and per-file rules
-    entirely — the warm path behind ``BENCH_audit.json``.
-    """
+    """Audit every ``.py`` file under ``paths``; findings in stable order."""
     if root is None:
         root = os.getcwd()
-    narrowed = rules is not None
     if rules is None:
         from repro.audit.catalog import all_rules
 
         rules = all_rules()
-    rule_ids = tuple(sorted(rule.id for rule in rules)) if narrowed else None
     _, project_rules = split_rules(rules)
-    targets: List["tuple[str, str, Optional[str]]"] = []
-    analyses: List[Optional[FileAnalysis]] = []
-    pending: List[int] = []
-    for filename in collect_files(paths):
-        display = _display_path(filename, root)
-        cached = cache.lookup(filename, display) if cache is not None else None
-        if cached is not None:
-            analyses.append(cached)
-            continue
-        targets.append((filename, display, module_name_for(filename)))
-        analyses.append(None)
-        pending.append(len(analyses) - 1)
-    if len(targets) > 1 and jobs > 1:
-        from repro.parallel import run_tasks
-
-        payloads = [(*target, rule_ids) for target in targets]
-        fresh = [
-            FileAnalysis.from_dict(result)
-            for result in run_tasks(_analyze_file_task, payloads, jobs=jobs)
-        ]
-    else:
-        fresh = [
-            _analyze_file(filename, display, module, rules)
-            for filename, display, module in targets
-        ]
-    for target, slot, analysis in zip(targets, pending, fresh):
-        analyses[slot] = analysis
-        if cache is not None:
-            cache.store(target[0], analysis)
-    done: List[FileAnalysis] = [a for a in analyses if a is not None]
+    analyses = [
+        _analyze_file(
+            filename, _display_path(filename, root), module_name_for(filename),
+            rules,
+        )
+        for filename in collect_files(paths)
+    ]
     findings: List[Finding] = []
-    for analysis in done:
+    for analysis in analyses:
         findings.extend(analysis.findings)
-    findings.extend(run_project_rules(done, project_rules))
+    findings.extend(run_project_rules(analyses, project_rules))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 

@@ -1,20 +1,17 @@
 """Whole-program import/call graph over the audited file set.
 
-PR 4's engine is strictly per-file: a rule sees one
-:class:`~repro.audit.engine.ModuleContext` and nothing else, so a
-sim-scope function that reaches ``time.time()`` through a helper in
-another module is invisible — each file looks innocent on its own. This
-module builds the cross-file view the interprocedural rules
+A per-file rule sees one :class:`~repro.audit.engine.ModuleContext` and
+nothing else, so a function that reaches ``time.time()`` through a
+helper in another module is invisible — each file looks innocent on its
+own. This module builds the cross-file view the call-chain rules
 (:mod:`repro.audit.rules_interproc`) walk:
 
-* :func:`extract_facts` distils one parsed module into serializable
+* :func:`extract_facts` distils one parsed module into
   :class:`ModuleFacts` — its functions/methods, every call site each one
-  makes (qualified through the import table where possible), its export
-  table (imports *plus* own defs, which is what makes re-exports through
-  ``__init__`` resolvable), and its class bases (for method resolution
-  on ``self``). Facts are plain data: the incremental cache
-  (:mod:`repro.audit.cache`) stores them per content hash so warm runs
-  never re-parse.
+  makes and every dotted name it uses (qualified through the import
+  table where possible), its export table (imports *plus* own defs,
+  which is what makes re-exports through ``__init__`` resolvable), and
+  its class bases (for method resolution on ``self``).
 * :class:`ProjectIndex` assembles the facts of every audited file and
   resolves call sites across module boundaries: ``from repro.topology
   import Route`` chases the ``__init__`` re-export to
@@ -50,32 +47,13 @@ CALL_SELF = "self"  # method on self: `self.helper()`
 
 @dataclass(frozen=True)
 class CallSite:
-    """One call expression inside a function body."""
+    """One call expression, or one dotted-name use, inside a function."""
 
     kind: str
     target: str
     lineno: int
     col: int
     line_text: str
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "lineno": self.lineno,
-            "col": self.col,
-            "line_text": self.line_text,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CallSite":
-        return cls(
-            kind=payload["kind"],
-            target=payload["target"],
-            lineno=payload["lineno"],
-            col=payload["col"],
-            line_text=payload["line_text"],
-        )
 
 
 @dataclass
@@ -88,30 +66,11 @@ class FunctionNode:
     cls: Optional[str]
     lineno: int
     line_text: str
+    #: Call edges (resolved against the project by :class:`ProjectIndex`).
     calls: List[CallSite] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "qual": self.qual,
-            "module": self.module,
-            "name": self.name,
-            "cls": self.cls,
-            "lineno": self.lineno,
-            "line_text": self.line_text,
-            "calls": [call.to_dict() for call in self.calls],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FunctionNode":
-        return cls(
-            qual=payload["qual"],
-            module=payload["module"],
-            name=payload["name"],
-            cls=payload["cls"],
-            lineno=payload["lineno"],
-            line_text=payload["line_text"],
-            calls=[CallSite.from_dict(c) for c in payload["calls"]],
-        )
+    #: Every maximal import-rooted dotted name used, called or not
+    #: (``os.urandom`` passed as a value counts): the sink candidates.
+    uses: List[CallSite] = field(default_factory=list)
 
 
 @dataclass
@@ -130,27 +89,6 @@ class ModuleFacts:
     class_bases: Dict[str, List[str]] = field(default_factory=dict)
     allowed: Dict[int, List[str]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "functions": [fn.to_dict() for fn in self.functions],
-            "exports": dict(self.exports),
-            "class_bases": {k: list(v) for k, v in self.class_bases.items()},
-            "allowed": {str(k): sorted(v) for k, v in self.allowed.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModuleFacts":
-        return cls(
-            path=payload["path"],
-            module=payload["module"],
-            functions=[FunctionNode.from_dict(f) for f in payload["functions"]],
-            exports=dict(payload["exports"]),
-            class_bases={k: list(v) for k, v in payload["class_bases"].items()},
-            allowed={int(k): list(v) for k, v in payload["allowed"].items()},
-        )
-
     def allows(self, lineno: int, rule_ids: Sequence[str]) -> bool:
         """True when any of ``rule_ids`` is suppressed on ``lineno``."""
         allowed = self.allowed.get(lineno, ())
@@ -168,21 +106,12 @@ def extract_facts(ctx, allowed: Optional[Dict[int, Set[str]]] = None) -> ModuleF
         exports=dict(ctx.imports),
         allowed={line: sorted(ids) for line, ids in (allowed or {}).items() if ids},
     )
-    body_node = FunctionNode(
-        qual=f"{ctx.module}.{MODULE_BODY}",
-        module=ctx.module,
-        name=MODULE_BODY,
-        cls=None,
-        lineno=1,
-        line_text=ctx.line(1),
-    )
-    #: Statements owned by named functions — everything else is module body.
-    claimed: Set[int] = set()
+    #: Nodes owned by named functions — everything else is module body.
+    owned: Set[int] = set()
     for stmt in ctx.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             facts.exports[stmt.name] = f"{ctx.module}.{stmt.name}"
-            facts.functions.append(_function_node(ctx, stmt, cls=None))
-            claimed.add(id(stmt))
+            facts.functions.append(_function_node(ctx, stmt, None, owned))
         elif isinstance(stmt, ast.ClassDef):
             facts.exports[stmt.name] = f"{ctx.module}.{stmt.name}"
             facts.class_bases[stmt.name] = [
@@ -192,12 +121,21 @@ def extract_facts(ctx, allowed: Optional[Dict[int, Set[str]]] = None) -> ModuleF
             ]
             for item in stmt.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    facts.functions.append(_function_node(ctx, item, cls=stmt.name))
-            claimed.add(id(stmt))
-    for stmt in ctx.tree.body:
-        if id(stmt) not in claimed:
-            body_node.calls.extend(_extract_calls(ctx, stmt))
-    if body_node.calls:
+                    facts.functions.append(
+                        _function_node(ctx, item, stmt.name, owned)
+                    )
+    # Decorators, class-body statements and import-time code all run at
+    # module scope.
+    body_node = FunctionNode(
+        qual=f"{ctx.module}.{MODULE_BODY}",
+        module=ctx.module,
+        name=MODULE_BODY,
+        cls=None,
+        lineno=1,
+        line_text=ctx.line(1),
+    )
+    _collect(ctx, ctx.tree, body_node, owned)
+    if body_node.calls or body_node.uses:
         facts.functions.append(body_node)
     return facts
 
@@ -206,7 +144,7 @@ def _bare_name(node: ast.AST) -> Optional[str]:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _function_node(ctx, node, cls: Optional[str]) -> FunctionNode:
+def _function_node(ctx, node, cls: Optional[str], owned: Set[int]) -> FunctionNode:
     qual = (
         f"{ctx.module}.{cls}.{node.name}" if cls else f"{ctx.module}.{node.name}"
     )
@@ -218,24 +156,47 @@ def _function_node(ctx, node, cls: Optional[str]) -> FunctionNode:
         lineno=node.lineno,
         line_text=ctx.line(node.lineno),
     )
-    for stmt in node.body:
-        fn.calls.extend(_extract_calls(ctx, stmt))
     # Default-argument expressions evaluate at def time in the enclosing
-    # scope, but a sink *called* there still executes — attribute them too.
-    for default in [*node.args.defaults, *node.args.kw_defaults]:
-        if default is not None:
-            fn.calls.extend(_extract_calls(ctx, default))
+    # scope, but a sink used there still executes — attribute them too.
+    defaults = [d for d in [*node.args.defaults, *node.args.kw_defaults] if d]
+    for part in [*node.body, *defaults]:
+        owned.add(id(part))
+        _collect(ctx, part, fn, set())
     return fn
 
 
-def _extract_calls(ctx, node: ast.AST) -> Iterator[CallSite]:
-    """Yield every classifiable call under ``node`` (nested defs roll up)."""
-    for sub in ast.walk(node):
-        if not isinstance(sub, ast.Call):
+def _collect(ctx, root: ast.AST, fn: FunctionNode, skip: Set[int]) -> None:
+    """Add the calls and dotted uses under ``root`` to ``fn``, in source
+    order, skipping the subtrees in ``skip`` (nested defs roll up)."""
+    inner: Set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in skip:
             continue
-        site = _classify_call(ctx, sub)
-        if site is not None:
-            yield site
+        if isinstance(node, ast.Call):
+            site = _classify_call(ctx, node)
+            if site is not None:
+                fn.calls.append(site)
+        elif isinstance(node, (ast.Attribute, ast.Name)) and id(node) not in inner:
+            # Only the maximal chain counts: `np.random.seed` is one use of
+            # `numpy.random.seed`, not also of `numpy.random` and `numpy`.
+            qualified = ctx.resolve(node)
+            if qualified is not None:
+                fn.uses.append(_site(ctx, node, CALL_DOTTED, qualified))
+        if isinstance(node, ast.Attribute):
+            inner.add(id(node.value))
+        stack.extend(reversed(list(ast.iter_child_nodes(node))))
+
+
+def _site(ctx, node: ast.AST, kind: str, target: str) -> CallSite:
+    return CallSite(
+        kind=kind,
+        target=target,
+        lineno=node.lineno,
+        col=node.col_offset + 1,
+        line_text=ctx.line(node.lineno),
+    )
 
 
 def _classify_call(ctx, call: ast.Call) -> Optional[CallSite]:
@@ -262,13 +223,7 @@ def _classify_call(ctx, call: ast.Call) -> Optional[CallSite]:
             kind, target = CALL_DOTTED, resolved
     else:
         return None
-    return CallSite(
-        kind=kind,
-        target=target,
-        lineno=call.lineno,
-        col=call.col_offset + 1,
-        line_text=ctx.line(call.lineno),
-    )
+    return _site(ctx, call, kind, target)
 
 
 # -- the assembled project --------------------------------------------------
@@ -424,42 +379,42 @@ def find_sink_chains(
 ) -> List[Tuple[List[str], CallSite, FunctionNode, CallSite]]:
     """Shortest call chains from ``start`` to each reachable sink.
 
-    ``is_sink(call, holder)`` inspects an *unresolved* dotted call inside
-    ``holder`` and returns the sink's canonical name (or ``None``).
-    Direct sinks inside ``start`` itself are excluded — those are the
-    per-file rules' findings; this walk exists for what they cannot see.
+    ``is_sink(use, holder)`` inspects a dotted use inside ``holder`` and
+    returns the sink's canonical name (or ``None``). A sink ``start``
+    uses itself is a chain of length 0, reported once per use; a sink
+    further down is reported once per distinct name, via the BFS-shortest
+    chain.
 
-    Returns ``(chain_of_quals, sink_call, sink_holder, first_hop)``
-    tuples, one per distinct sink name, in first-reached (BFS — i.e.
-    shortest-chain) order. Cycles terminate because each function is
-    visited at most once.
+    Returns ``(chain_of_quals, sink_use, sink_holder, anchor)`` tuples;
+    ``anchor`` is the sink use itself for length 0, otherwise the call
+    in ``start`` that begins the chain. Cycles terminate because each
+    function is visited at most once.
     """
-    results: List[Tuple[List[str], CallSite, FunctionNode, CallSite]] = []
+    results: List[Tuple[List[str], CallSite, FunctionNode, CallSite]] = [
+        ([start.qual], use, start, use)
+        for use in start.uses
+        if is_sink(use, start) is not None
+    ]
     seen_sinks: Set[str] = set()
     visited: Set[str] = {start.qual}
-    queue: "deque[Tuple[FunctionNode, List[str], CallSite]]" = deque()
-    for call in start.calls:
-        callee = index.resolve_call(start, call)
-        if callee is not None and callee not in visited:
-            visited.add(callee)
-            queue.append((index.functions[callee], [start.qual, callee], call))
+    queue: "deque[Tuple[FunctionNode, List[str], Optional[CallSite]]]" = deque(
+        [(start, [start.qual], None)]
+    )
     while queue:
         node, chain, first_hop = queue.popleft()
         if len(chain) > _MAX_CHAIN_DEPTH:
             continue
+        if first_hop is not None:
+            for use in node.uses:
+                sink = is_sink(use, node)
+                if sink is not None and sink not in seen_sinks:
+                    seen_sinks.add(sink)
+                    results.append((list(chain), use, node, first_hop))
         for call in node.calls:
             callee = index.resolve_call(node, call)
-            if callee is not None:
-                if callee not in visited:
-                    visited.add(callee)
-                    queue.append(
-                        (index.functions[callee], [*chain, callee], first_hop)
-                    )
-                continue
-            if call.kind != CALL_DOTTED:
-                continue
-            sink = is_sink(call, node)
-            if sink is not None and sink not in seen_sinks:
-                seen_sinks.add(sink)
-                results.append((list(chain), call, node, first_hop))
+            if callee is not None and callee not in visited:
+                visited.add(callee)
+                queue.append(
+                    (index.functions[callee], [*chain, callee], first_hop or call)
+                )
     return results

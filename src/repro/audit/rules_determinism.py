@@ -1,4 +1,10 @@
-"""Determinism rules (DET*): global RNG state, wall clock, ambient entropy.
+"""Determinism rules (DET*): RNG state bound at module scope (DET002).
+
+This module also owns the scope and sink tables for global RNG state,
+wall clocks and ambient entropy; uses of those sinks, direct or
+transitive, are the call-chain rules' findings
+(:mod:`repro.audit.rules_interproc`). DET002 has no call-chain form and
+stays a per-file rule here.
 
 The invariant these protect: every random draw and every timestamp inside
 an experiment must derive from the experiment seed (via
@@ -15,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.audit.engine import Finding, ModuleContext, Rule, iter_qualified_uses
+from repro.audit.engine import Finding, ModuleContext, Rule
 
 #: Simulator scope: code that runs *inside* a simulated experiment.
 #: These modules may touch neither the wall clock nor global RNG state;
@@ -89,40 +95,12 @@ ENTROPY_SOURCES = frozenset(
 )
 
 
-def _is_global_random(qualified: str) -> bool:
+def is_global_random(qualified: str) -> bool:
     if qualified in GLOBAL_RANDOM_FUNCTIONS:
         return True
     if qualified.startswith("numpy.random."):
         return qualified.rsplit(".", 1)[1] not in NUMPY_RANDOM_SAFE
     return False
-
-
-class GlobalRandomRule(Rule):
-    """DET001 — calls into the interpreter's global RNG state."""
-
-    id = "DET001"
-    family = "determinism"
-    severity = "error"
-    summary = "call to a global-state RNG (`random.*` / `numpy.random.*`)"
-    rationale = (
-        "Global RNG state is shared, unseeded-by-default, and "
-        "process-local: parallel workers draw different values than a "
-        "serial run, breaking the byte-identical `--jobs N` guarantee. "
-        "Draw from an injected `repro.net.rng.RngFactory` stream instead."
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qualified = ctx.resolve(node.func)
-            if qualified and _is_global_random(qualified):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"`{qualified}()` uses global RNG state; draw from a "
-                    "seeded `RngFactory` stream instead",
-                )
 
 
 class ModuleRngStateRule(Rule):
@@ -166,77 +144,4 @@ class ModuleRngStateRule(Rule):
                 )
 
 
-class WallClockRule(Rule):
-    """DET003 — wall-clock reads in library code; monotonic outside telemetry."""
-
-    id = "DET003"
-    family = "determinism"
-    severity = "error"
-    summary = "wall-clock read (or monotonic timer outside telemetry code)"
-    rationale = (
-        "Wall clocks step under NTP and differ across workers; nothing in "
-        "the library may read one. Elapsed-time measurement belongs in "
-        "telemetry code (repro.obs / repro.experiments / repro.parallel / "
-        "repro.crypto instrumentation) and must use `time.monotonic` or "
-        "`time.perf_counter`."
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.is_repro_module:
-            return
-        if ctx.in_module(*SIM_SCOPE):
-            # Simulator scope bans the `time` module entirely — that is
-            # ST001's finding, not ours; avoid double-reporting.
-            return
-        in_telemetry = ctx.in_module(*TELEMETRY_SCOPE)
-        for node, qualified in iter_qualified_uses(ctx):
-            if qualified in WALL_CLOCK:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"`{qualified}` reads the wall clock; use "
-                    "`time.monotonic()` for elapsed time (telemetry) or "
-                    "the simulation clock (simulator state)",
-                )
-            elif qualified in MONOTONIC_CLOCK and not in_telemetry:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"`{qualified}` outside telemetry scope "
-                    f"({', '.join(TELEMETRY_SCOPE)}); host timing belongs "
-                    "in instrumentation, not in result-producing code",
-                )
-
-
-class EntropyRule(Rule):
-    """DET004 — ambient OS entropy in library code."""
-
-    id = "DET004"
-    family = "determinism"
-    severity = "error"
-    summary = "ambient entropy source (`os.urandom`, `secrets`, `uuid.uuid4`)"
-    rationale = (
-        "OS entropy is unseedable, so any value derived from it differs "
-        "on every run. The one deliberate exception is "
-        "`repro.crypto.cipher.StreamCipher`'s `os.urandom` *default* — "
-        "simulations always inject `RngFactory.nonce_source` — which "
-        "carries an inline `# repro: allow(DET004)`."
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node, qualified in iter_qualified_uses(ctx):
-            if qualified in ENTROPY_SOURCES or qualified.startswith("secrets."):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"`{qualified}` draws ambient OS entropy; inject a "
-                    "deterministic source (e.g. `RngFactory.nonce_source`)",
-                )
-
-
-RULES = (
-    GlobalRandomRule(),
-    ModuleRngStateRule(),
-    WallClockRule(),
-    EntropyRule(),
-)
+RULES = (ModuleRngStateRule(),)

@@ -1,31 +1,22 @@
-"""Interprocedural DET/ST rules: transitive sink reach from sim scope.
+"""Call-chain DET/ST rules: a direct use is a chain of length 0.
 
-The per-file ``DET``/``ST`` rules ban *direct* use of wall clocks,
-ambient entropy, and global RNG state. What they cannot see is a
-sim-scope function laundering the same nondeterminism through a helper
-chain — ``repro.mc`` calling a utility that calls another utility that
-calls ``time.time()`` looks clean file-by-file, yet injects the host's
-wall clock straight into a simulated experiment, which is exactly the
-nondeterminism the identification guarantees (PAPER.md §7: the Hoeffding
-bounds assume bit-reproducible trials) cannot tolerate.
+Each rule walks the project call graph (:mod:`repro.audit.graph`) from
+every function and module body in its scope and flags every path to a
+banned sink. A sink used by the start itself is a chain of length 0 and
+anchors at the use; a sink hidden behind helpers — ``repro.mc`` calling a
+utility that calls another utility that calls ``time.time()`` — anchors
+at the first hop, where the nondeterminism enters the caller. Either
+way the host's wall clock or entropy leaks into a simulated experiment,
+which is exactly what the identification guarantees (PAPER.md §7: the
+Hoeffding bounds assume bit-reproducible trials) cannot tolerate.
 
-These rules walk the project call graph (:mod:`repro.audit.graph`)
-from every function in simulator scope and flag any chain of length ≥ 2
-ending at a banned sink. Chains of length 1 (the function itself calls
-the sink) are excluded by construction — those are the per-file rules'
-findings, and double-reporting would teach people to suppress twice.
+Sinks are *uses*, not only calls: ``os.urandom`` passed as a default
+value draws entropy as surely as ``os.urandom(16)``.
 
-Sanctioned boundaries keep the pass precise rather than merely loud:
-
-* a *monotonic* timer inside telemetry scope is not a sink — host-time
-  instrumentation (``repro.parallel`` retry deadlines, ``repro.obs``
-  profilers) is measured overhead, not simulation state, mirroring the
-  per-file DET003 semantics;
-* a sink use whose line carries a ``# repro: allow(DET...)``/``ST``
-  suppression in its *own* file is sanctioned for callers too (e.g. the
-  injectable ``os.urandom`` default in ``repro.crypto.cipher``);
-* wall clocks and entropy are never sanctioned by location — reaching
-  them from sim scope is flagged no matter which module hosts the call.
+A sink line carrying the rule's own ``# repro: allow(<id>)`` is
+sanctioned for every caller too (e.g. the injectable ``os.urandom``
+default in ``repro.crypto.cipher``) — an excused line is excused, not a
+back door.
 """
 
 from __future__ import annotations
@@ -41,17 +32,12 @@ from repro.audit.graph import (
 )
 from repro.audit.rules_determinism import (
     ENTROPY_SOURCES,
-    GLOBAL_RANDOM_FUNCTIONS,
     MONOTONIC_CLOCK,
-    NUMPY_RANDOM_SAFE,
     SIM_SCOPE,
     TELEMETRY_SCOPE,
     WALL_CLOCK,
+    is_global_random,
 )
-
-#: Per-file rule ids whose inline suppression also sanctions the sink for
-#: transitive callers — an excused line is excused, not a back door.
-_SANCTIONING_IDS = ("DET001", "DET003", "DET004", "ST001")
 
 
 def _in_scope(module: str, prefixes) -> bool:
@@ -61,70 +47,76 @@ def _in_scope(module: str, prefixes) -> bool:
     )
 
 
-def _sanctioned(call: CallSite, holder: FunctionNode, index: ProjectIndex) -> bool:
-    facts = index.facts_for(holder.module)
-    return facts is not None and facts.allows(call.lineno, _SANCTIONING_IDS)
-
-
-def _chain_text(chain: List[str], sink: str) -> str:
-    return " -> ".join([*chain, f"{sink}()"])
-
-
-class _InterprocRule(ProjectRule):
+class _ChainRule(ProjectRule):
     """Shared walk: one subclass per sink family."""
 
-    def sink_name(
-        self, call: CallSite, holder: FunctionNode, index: ProjectIndex
-    ) -> Optional[str]:
-        raise NotImplementedError
+    family = "interproc"
+    severity = "error"
+    #: Module prefixes whose functions start a walk; ``None`` = every file.
+    start_scope: Optional[tuple] = None
+    #: Message tail for a length-0 finding: "`<sink>` <does>".
+    does = ""
 
-    def message(self, chain: List[str], call: CallSite, holder: FunctionNode) -> str:
+    def sink_name(self, use: CallSite, holder: FunctionNode) -> Optional[str]:
         raise NotImplementedError
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
+        def is_sink(use: CallSite, holder: FunctionNode) -> Optional[str]:
+            facts = index.facts_for(holder.module)
+            if facts is not None and facts.allows(use.lineno, [self.id]):
+                return None
+            return self.sink_name(use, holder)
+
         for start in index.iter_functions():
-            if not _in_scope(start.module, SIM_SCOPE):
+            if self.start_scope and not _in_scope(start.module, self.start_scope):
                 continue
-
-            def is_sink(call: CallSite, holder: FunctionNode) -> Optional[str]:
-                if _sanctioned(call, holder, index):
-                    return None
-                return self.sink_name(call, holder, index)
-
-            for chain, sink_call, holder, first_hop in find_sink_chains(
+            for chain, sink, holder, anchor in find_sink_chains(
                 index, start, is_sink
             ):
                 yield Finding(
                     rule=self.id,
                     path=index.facts_for(start.module).path,
-                    line=first_hop.lineno,
-                    col=first_hop.col,
-                    message=self.message(chain, sink_call, holder),
+                    line=anchor.lineno,
+                    col=anchor.col,
+                    message=self._message(chain, sink, holder),
                     severity=self.severity,
-                    line_text=first_hop.line_text,
+                    line_text=anchor.line_text,
                 )
 
+    def _message(self, chain: List[str], sink: CallSite, holder: FunctionNode) -> str:
+        if len(chain) == 1:
+            return f"`{sink.target}` {self.does}"
+        path = " -> ".join([*chain, f"{sink.target}()"])
+        return (
+            f"call chain reaches `{sink.target}` "
+            f"({holder.module}:{sink.lineno}): {path}"
+        )
 
-class TransitiveClockRule(_InterprocRule):
-    """ST002 — sim scope reaches a host clock through a call chain."""
+
+class ClockRule(_ChainRule):
+    """ST002 — repro code reaches a host clock, directly or transitively."""
 
     id = "ST002"
-    family = "interproc"
-    severity = "error"
-    summary = "sim-scope code transitively reaches a host clock"
+    summary = "host clock use in repro code, directly or through a call chain"
     rationale = (
-        "A helper chain ending at `time.time()` (anywhere) or a "
-        "monotonic timer (outside telemetry scope) feeds the host clock "
-        "into simulated behavior exactly as a direct read would — the "
-        "per-file ST001/DET003 rules only see one file at a time, so "
-        "the call graph is walked project-wide. Read `SimClock`/"
-        "`NodeClock` instead, or confine host timing to telemetry scope."
+        "Simulated components read `SimClock`/`NodeClock` "
+        "(repro.net.clock): any `time`/`datetime` use inside "
+        f"{', '.join(SIM_SCOPE)}, a wall clock anywhere, or a monotonic "
+        "timer outside telemetry scope "
+        f"({', '.join(TELEMETRY_SCOPE)}) ties timestamp freshness (§5), "
+        "probe pacing and ack deadlines to the host running the "
+        "simulation. A helper chain ending there feeds the host clock in "
+        "exactly as a direct read would."
     )
+    start_scope = ("repro",)
+    does = "reads a host clock; use the simulation clock (`repro.net.clock`)"
 
-    def sink_name(
-        self, call: CallSite, holder: FunctionNode, index: ProjectIndex
-    ) -> Optional[str]:
-        target = call.target
+    def sink_name(self, use: CallSite, holder: FunctionNode) -> Optional[str]:
+        target = use.target
+        if _in_scope(holder.module, SIM_SCOPE) and target.startswith(
+            ("time.", "datetime.")
+        ):
+            return target
         if target in WALL_CLOCK:
             return target
         if target in MONOTONIC_CLOCK and not _in_scope(
@@ -133,48 +125,35 @@ class TransitiveClockRule(_InterprocRule):
             return target
         return None
 
-    def message(self, chain: List[str], call: CallSite, holder: FunctionNode) -> str:
-        return (
-            f"sim-scope call chain reaches host clock `{call.target}` "
-            f"({holder.module}:{call.lineno}): {_chain_text(chain, call.target)}"
-        )
 
-
-class TransitiveEntropyRule(_InterprocRule):
-    """DET005 — sim scope reaches global RNG / ambient entropy transitively."""
+class EntropyRule(_ChainRule):
+    """DET005 — code reaches global RNG or ambient entropy, directly or
+    transitively."""
 
     id = "DET005"
-    family = "interproc"
-    severity = "error"
-    summary = "sim-scope code transitively reaches global RNG or entropy"
+    summary = "global RNG or ambient entropy use, directly or through a call chain"
     rationale = (
         "Global `random.*`/`numpy.random.*` state and ambient entropy "
-        "(`os.urandom`, `uuid.uuid4`, `secrets`) break seed-determinism "
-        "no matter how many helpers deep they hide; a sim-scope function "
-        "whose call chain ends there draws values no `RngFactory` stream "
-        "controls. Thread an injected stream down the chain instead."
+        "(`os.urandom`, `uuid.uuid4`, `secrets`) are shared, unseeded "
+        "and process-local: parallel workers draw different values than "
+        "a serial run, breaking the byte-identical `--jobs N` guarantee "
+        "no matter how many helpers deep they hide. Draw from an injected "
+        "`repro.net.rng.RngFactory` stream instead."
+    )
+    does = (
+        "draws global RNG state or ambient entropy; use a seeded "
+        "`RngFactory` stream"
     )
 
-    def sink_name(
-        self, call: CallSite, holder: FunctionNode, index: ProjectIndex
-    ) -> Optional[str]:
-        target = call.target
-        if target in GLOBAL_RANDOM_FUNCTIONS or target in ENTROPY_SOURCES:
+    def sink_name(self, use: CallSite, holder: FunctionNode) -> Optional[str]:
+        target = use.target
+        if (
+            is_global_random(target)
+            or target in ENTROPY_SOURCES
+            or target.startswith("secrets.")
+        ):
             return target
-        if target.startswith("secrets."):
-            return target
-        if target.startswith("numpy.random."):
-            tail = target.rsplit(".", 1)[1]
-            if tail not in NUMPY_RANDOM_SAFE:
-                return target
         return None
 
-    def message(self, chain: List[str], call: CallSite, holder: FunctionNode) -> str:
-        return (
-            f"sim-scope call chain reaches nondeterministic "
-            f"`{call.target}` ({holder.module}:{call.lineno}): "
-            f"{_chain_text(chain, call.target)}"
-        )
 
-
-RULES = (TransitiveEntropyRule(), TransitiveClockRule())
+RULES = (EntropyRule(), ClockRule())

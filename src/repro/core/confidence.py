@@ -39,16 +39,19 @@ class ConfidentVerdict:
         exonerated at the same confidence.
     undecided:
         Links whose interval still straddles the threshold.
-    half_width:
-        The Hoeffding interval half-width at the current round count.
+    half_widths:
+        Per-link Hoeffding interval half-widths, each sized by the
+        samples behind that link's estimate.
+    samples:
+        Per-link observation counts the half-widths were sized by.
     """
 
     convicted: Set[int]
     cleared: Set[int]
     undecided: Set[int]
     estimates: List[float]
-    half_width: float
-    rounds: int
+    half_widths: List[float]
+    samples: List[int]
 
     @property
     def decided(self) -> bool:
@@ -73,7 +76,7 @@ def hoeffding_half_width(rounds: int, sigma: float, links: int = 1) -> float:
 def confident_identify(
     estimates: Sequence[float],
     thresholds,
-    rounds: int,
+    samples: Sequence[int],
     sigma: float,
     variance_scale: float = 1.0,
 ) -> ConfidentVerdict:
@@ -86,8 +89,9 @@ def confident_identify(
         Per-link point estimates.
     thresholds:
         Scalar or per-link thresholds.
-    rounds:
-        Observation rounds behind the estimates.
+    samples:
+        Per-link observation counts behind the estimates. A link's
+        interval is only as narrow as its own evidence allows.
     sigma:
         Allowed family-wise error probability.
     variance_scale:
@@ -104,11 +108,17 @@ def confident_identify(
         thresholds = [float(value) for value in thresholds]
         if len(thresholds) != links:
             raise ConfigurationError("threshold/estimate length mismatch")
-    half_width = hoeffding_half_width(rounds, sigma, links) * math.sqrt(
-        variance_scale
-    )
+    samples = [int(count) for count in samples]
+    if len(samples) != links:
+        raise ConfigurationError("samples/estimate length mismatch")
+    scale = math.sqrt(variance_scale)
+    half_widths = [
+        hoeffding_half_width(count, sigma, links) * scale for count in samples
+    ]
     convicted, cleared, undecided = set(), set(), set()
-    for link, (estimate, threshold) in enumerate(zip(estimates, thresholds)):
+    for link, (estimate, threshold, half_width) in enumerate(
+        zip(estimates, thresholds, half_widths)
+    ):
         if estimate - half_width > threshold:
             convicted.add(link)
         elif estimate + half_width < threshold:
@@ -119,9 +129,9 @@ def confident_identify(
     if ledger.enabled:
         ledger.record(
             "bound",
-            rounds=rounds,
+            samples=samples,
             sigma=float(sigma),
-            half_width=float(half_width),
+            half_widths=[float(value) for value in half_widths],
             estimates=[float(value) for value in estimates],
             thresholds=thresholds,
             convicted=convicted,
@@ -133,6 +143,6 @@ def confident_identify(
         cleared=cleared,
         undecided=undecided,
         estimates=list(estimates),
-        half_width=half_width,
-        rounds=rounds,
+        half_widths=half_widths,
+        samples=samples,
     )

@@ -44,7 +44,7 @@ class StreamCipher:
         # Deliberate exception: the *default* entropy source is ambient
         # (real deployments want unpredictable nonces); simulations always
         # inject RngFactory.nonce_source.
-        self._rng = rng if rng is not None else os.urandom  # repro: allow(DET004)
+        self._rng = rng if rng is not None else os.urandom  # repro: allow(DET005)
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """Encrypt ``plaintext``; returns ``nonce || ciphertext``."""

@@ -263,8 +263,9 @@ def _explain_one_run(entries: List[Dict], run: int) -> str:
             )
         elif kind == "bound":
             lines.append(
-                f"    [seq {seq}] Hoeffding bound at {entry['rounds']} "
-                f"rounds: half-width {_fmt(entry['half_width'])} "
+                f"    [seq {seq}] Hoeffding bound over samples "
+                f"{entry['samples']}: half-widths "
+                f"[{', '.join(_fmt(value) for value in entry['half_widths'])}] "
                 f"(sigma {entry['sigma']:g}) — convicted "
                 f"{entry.get('convicted', [])}, cleared "
                 f"{entry.get('cleared', [])}, undecided "

@@ -11,7 +11,7 @@ with coarse phase timers that follow the registry's rules:
    returns one shared no-op context manager — entering a phase on the
    disabled path is two method calls and no allocation.
 2. **Sim-scope safe.** Simulation modules (``repro.net``, ``repro.mc``)
-   must never read clocks directly (audit rules ST001/DET003); they call
+   must never read clocks directly (audit rule ST002); they call
    :func:`phase`, and the monotonic ``time.perf_counter`` read happens
    here, inside the telemetry scope where the audit allows it.
 3. **Deterministic export.** Durations land in a wall-clock histogram on

@@ -118,6 +118,10 @@ class SourceAgent(Node):
         """Per-link drop-rate estimates (protocol-specific estimator)."""
         raise NotImplementedError
 
+    def link_samples(self) -> List[int]:
+        """Observations behind each link's estimate (the Hoeffding ``n``)."""
+        return [self.board.rounds] * self.params.path_length
+
     def identify(self) -> IdentificationResult:
         """Run the identify phase against the decision thresholds."""
         return identify_links(
@@ -387,7 +391,7 @@ class WireProtocol:
         return confident_identify(
             self.estimates(),
             self.decision_thresholds(),
-            rounds=self.board.rounds,
+            samples=self.source.link_samples(),
             sigma=self.params.sigma,
             variance_scale=scale,
         )

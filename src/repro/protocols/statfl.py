@@ -23,7 +23,7 @@ scheme needs on the order of 10^7 packets to separate ``alpha`` from
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.monitor import EndToEndMonitor
 from repro.crypto.hashing import hash_bytes
@@ -267,25 +267,39 @@ class StatFLSource(SourceAgent):
             fractions.append(count / (self._fl_sampling * snapshot))
         return fractions
 
-    def estimates(self) -> List[float]:
+    def _link_estimates(self) -> List[Tuple[float, bool]]:
+        """``(estimate, unreported)`` per link; ``unreported`` marks an
+        estimate that rests on the node never having reported."""
         fractions = self.survival_fractions()
         estimates = []
         for link in range(self.params.path_length):
             upstream, downstream = fractions[link], fractions[link + 1]
             if upstream != upstream or upstream <= 0.0:  # NaN or dead above
-                estimates.append(0.0)
+                estimates.append((0.0, False))
                 continue
             if downstream != downstream:  # NaN: node never reported
                 # A node that has answered no resolved request while its
                 # upstream neighbor has is unreachable: survival ~ 0 and
                 # the loss concentrates on this link.
                 if self._resolved_requests > 0:
-                    downstream = 0.0
+                    estimates.append((1.0, True))
                 else:
-                    estimates.append(0.0)
-                    continue
-            estimates.append(max(0.0, 1.0 - downstream / upstream))
+                    estimates.append((0.0, False))
+                continue
+            estimates.append((max(0.0, 1.0 - downstream / upstream), False))
         return estimates
+
+    def estimates(self) -> List[float]:
+        return [estimate for estimate, _ in self._link_estimates()]
+
+    def link_samples(self) -> List[int]:
+        # An unreachable-node verdict rests on the resolved requests, not
+        # on the data rounds sent: its interval is sized accordingly.
+        rounds = self.board.rounds
+        return [
+            self._resolved_requests if unreported else rounds
+            for _, unreported in self._link_estimates()
+        ]
 
 
 class StatisticalFLProtocol(WireProtocol):

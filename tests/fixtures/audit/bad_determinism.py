@@ -1,5 +1,5 @@
 # repro: module=repro.core.fake_determinism
-"""Fixture: every determinism rule (DET001-DET004) must fire here.
+"""Fixture: DET002 and the length-0 DET005/ST002 findings must fire here.
 
 Never imported — read as data by tests/unit/test_audit_rules.py.
 """

@@ -1,5 +1,5 @@
 # repro: module=repro.net.fake_node
-"""Fixture: sim-time hygiene violations (ST001)."""
+"""Fixture: host clocks inside simulator scope (length-0 ST002)."""
 
 import time
 from datetime import datetime

@@ -1,10 +1,10 @@
 # repro: module=repro_vendor.util
 """Fixture: vendor-style helpers outside ``repro.*`` scope.
 
-Per-file clean by design — ``repro_vendor`` is not a repro module, so
-the scoped per-file rules (DET003/ST001) never look at it. The wall
-clock hides two calls deep behind ``wrapped_now``; only the
-whole-program pass can see a sim-scope caller reach it.
+``repro_vendor`` is not a repro module, so ST002 starts no walk here:
+its own clock reads are not findings. The wall clock hides two calls
+deep behind ``wrapped_now``; only the whole-program pass can see a
+sim-scope caller reach it.
 """
 
 import time
@@ -21,7 +21,7 @@ def wrapped_now():
 def excused_now():
     # The sanctioned boundary: an excused sink line is excused for
     # transitive callers too.
-    return time.time()  # repro: allow(DET003)
+    return time.time()  # repro: allow(ST002)
 
 
 def pure_span(start, end):

@@ -9,6 +9,6 @@ def duration(start, end):
 
 
 def excused(log):
-    # The sink line in helpers.py carries `# repro: allow(DET003)`,
+    # The sink line in helpers.py carries `# repro: allow(ST002)`,
     # which sanctions this transitive reach as well.
     log.append(excused_now())

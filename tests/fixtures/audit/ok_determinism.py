@@ -18,4 +18,4 @@ def elapsed(start: float) -> float:
 
 
 def excused_jitter() -> float:
-    return random.random()  # repro: allow(DET001)
+    return random.random()  # repro: allow(DET005)

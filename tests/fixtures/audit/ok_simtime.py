@@ -1,7 +1,7 @@
 # repro: module=repro.net.fake_node_ok
 """Fixture: simulator code reading simulated time only."""
 
-import time  # repro: allow(ST001)
+import time  # repro: allow(ST002)
 
 
 def ack_deadline(clock) -> float:
@@ -10,4 +10,4 @@ def ack_deadline(clock) -> float:
 
 
 def excused_timer() -> float:
-    return time.monotonic()  # repro: allow(ST001)
+    return time.monotonic()  # repro: allow(ST002)

@@ -77,7 +77,7 @@ class TestCliOptions:
         assert len(err.strip().splitlines()) == 1
 
     def test_unknown_ignore_id_exits_2(self, capsys):
-        assert main([SRC, "--ignore", "DET001,BOGUS999"]) == 2
+        assert main([SRC, "--ignore", "DET005,BOGUS999"]) == 2
         assert "BOGUS999" in capsys.readouterr().err
 
     def test_select_narrows_to_named_rules(self, capsys):
@@ -109,14 +109,6 @@ class TestCliOptions:
         log = json.loads(out_path.read_text())
         assert log["version"] == "2.1.0"
         assert log["runs"][0]["tool"]["driver"]["name"] == "repro-audit"
-
-    def test_cache_flag_persists_and_reuses(self, tmp_path, capsys):
-        cache_path = tmp_path / "cache.json"
-        assert main([SRC, "--cache", str(cache_path)]) == 0
-        assert cache_path.exists()
-        first = capsys.readouterr().out
-        assert main([SRC, "--cache", str(cache_path)]) == 0
-        assert capsys.readouterr().out == first
 
     def test_tests_tree_gated_against_committed_baseline(
         self, monkeypatch, capsys

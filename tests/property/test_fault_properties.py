@@ -68,6 +68,38 @@ class TestNoFalseAccusationsUnderBenignFaults:
         ) or cell.false_accusations == []
 
 
+#: Benign ``(preset, root)`` cells where statfl once convicted an honest
+#: link: a node missing from 2 resolved report requests put loss 1.0 on
+#: its upstream link, under an interval sized by 200 data rounds.
+STATFL_PINNED_ROOTS = [
+    (spec_name, root)
+    for spec_name, roots in {
+        "baseline": (47, 280, 320, 351),
+        "benign-dup": (35, 198, 251),
+        "benign-jitter": (136, 391, 6000),
+        "burst-blackout": (98, 116, 238),
+        "clock-skew": (199, 330, 6000),
+        "crash-restart": (65, 105, 126, 274, 318, 375),
+    }.items()
+    for root in roots
+]
+
+
+@pytest.mark.parametrize("spec_name,root", STATFL_PINNED_ROOTS)
+def test_statfl_unreported_node_convicts_nobody(spec_name, root):
+    cell = run_chaos_cell(
+        "statfl",
+        PRESETS[spec_name],
+        seed=cell_seed(root, "statfl", spec_name),
+        packets=PACKETS["statfl"],
+    )
+    assert cell.error is None, cell.error
+    assert cell.false_accusations == [], (
+        f"statfl/{spec_name} root {root} falsely convicted "
+        f"{cell.false_accusations} (estimates={cell.estimates})"
+    )
+
+
 class TestSection7Bound:
     @settings(max_examples=50)
     @given(

@@ -23,11 +23,12 @@ OLD_VIOLATION = textwrap.dedent(
 
 NEW_VIOLATION = textwrap.dedent(
     """
-    import os
+    # repro: module=repro.core.fake_new
+    import time
 
 
-    def new_nonce():
-        return os.urandom(8)
+    def new_stamp():
+        return time.time()
     """
 )
 
@@ -45,7 +46,7 @@ class TestBaselineFile:
         tmp_path, target = tree
         baseline_path = str(tmp_path / "baseline.json")
         findings = audit_paths([str(target)], root=str(tmp_path))
-        assert [f.rule for f in findings] == ["DET001"]
+        assert [f.rule for f in findings] == ["DET005"]
         write_baseline(baseline_path, findings)
 
         # The grandfathered finding is still reported, but baselined...
@@ -55,9 +56,9 @@ class TestBaselineFile:
             load_baseline(baseline_path),
         )
         by_rule = {f.rule: f for f in findings}
-        assert by_rule["DET001"].baselined
+        assert by_rule["DET005"].baselined
         # ...while the fresh finding is not.
-        assert not by_rule["DET004"].baselined
+        assert not by_rule["ST002"].baselined
 
     def test_missing_baseline_is_empty(self, tmp_path):
         assert load_baseline(str(tmp_path / "absent.json")) == set()
@@ -113,7 +114,7 @@ class TestCliGate:
         assert payload["format"] == "repro-audit-findings"
         assert payload["summary"]["new_errors"] == 1
         (finding,) = payload["findings"]
-        assert finding["rule"] == "DET001"
+        assert finding["rule"] == "DET005"
         assert finding["path"].endswith("old.py")
         assert not finding["baselined"]
 
@@ -128,7 +129,7 @@ class TestCliGate:
     def test_list_rules_catalogue(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "DET003", "DET004",
-                        "CB001", "CB002", "ST001", "ITER001", "ITER002",
+        for rule_id in ("DET002", "DET005", "CB001", "CB002", "ST002",
+                        "ITER001", "ITER002",
                         "AUD001", "AUD002"):
             assert rule_id in out

@@ -12,17 +12,17 @@ def audit(source, module="repro.core.fake"):
 
 class TestSuppressionSemantics:
     def test_allow_silences_exactly_one_rule_on_its_line(self):
-        # DET001 and DET004 fire on the same line; only DET001 is allowed.
+        # DET005 and ST002 fire on the same line; only DET005 is allowed.
         findings = audit(
             """
-            import os
             import random
+            import time
 
             def draw(flag):
-                return random.random() if flag else os.urandom(1)  # repro: allow(DET001)
+                return random.random() if flag else time.time()  # repro: allow(DET005)
             """
         )
-        assert [f.rule for f in findings] == ["DET004"]
+        assert [f.rule for f in findings] == ["ST002"]
 
     def test_allow_does_not_reach_other_lines(self):
         findings = audit(
@@ -30,21 +30,21 @@ class TestSuppressionSemantics:
             import random
 
             def draw():
-                excused = random.random()  # repro: allow(DET001)
+                excused = random.random()  # repro: allow(DET005)
                 return random.random()
             """
         )
-        assert [f.rule for f in findings] == ["DET001"]
+        assert [f.rule for f in findings] == ["DET005"]
         assert findings[0].line == 6
 
     def test_multiple_ids_in_one_comment(self):
         findings = audit(
             """
-            import os
             import random
+            import time
 
             def draw(flag):
-                return random.random() if flag else os.urandom(1)  # repro: allow(DET001, DET004)
+                return random.random() if flag else time.time()  # repro: allow(DET005, ST002)
             """
         )
         assert findings == []
@@ -58,7 +58,7 @@ class TestSuppressionSemantics:
                 return random.random()  # repro: allow(DET999)
             """
         )
-        assert sorted(f.rule for f in findings) == ["AUD001", "DET001"]
+        assert sorted(f.rule for f in findings) == ["AUD001", "DET005"]
         unknown = next(f for f in findings if f.rule == "AUD001")
         assert "DET999" in unknown.message
 
@@ -68,11 +68,11 @@ class TestSuppressionSemantics:
             import random
 
             def draw():
-                """Docs may say `# repro: allow(DET001)` without effect."""
+                """Docs may say `# repro: allow(DET005)` without effect."""
                 return random.random()
             '''
         )
-        assert [f.rule for f in findings] == ["DET001"]
+        assert [f.rule for f in findings] == ["DET005"]
 
 
 class TestScoping:
@@ -87,7 +87,7 @@ class TestScoping:
             """
         )
         findings = audit_source(source, path="anywhere.py")
-        assert [f.rule for f in findings] == ["ST001"]
+        assert [f.rule for f in findings] == ["ST002"]
 
     def test_scoped_rules_skip_unrelated_modules(self):
         # Monotonic timing is fine in telemetry scope.
@@ -113,7 +113,7 @@ class TestScoping:
             """,
             module="tests.helpers.fake",
         )
-        assert [f.rule for f in findings] == ["DET001"]
+        assert [f.rule for f in findings] == ["DET005"]
 
     def test_module_name_for_src_layout(self):
         assert module_name_for("src/repro/net/link.py") == "repro.net.link"
@@ -130,7 +130,7 @@ class TestResolution:
                 return np.random.normal()
             """
         )
-        assert [f.rule for f in findings] == ["DET001"]
+        assert [f.rule for f in findings] == ["DET005"]
 
     def test_from_import_resolves(self):
         findings = audit(
@@ -141,7 +141,7 @@ class TestResolution:
                 return random()
             """
         )
-        assert [f.rule for f in findings] == ["DET001"]
+        assert [f.rule for f in findings] == ["DET005"]
 
     def test_explicit_generators_are_safe(self):
         findings = audit(
@@ -173,7 +173,7 @@ class TestResolution:
             """,
             module="repro.net.fake",
         )
-        assert [f.rule for f in findings] == ["ST001"]
+        assert [f.rule for f in findings] == ["ST002"]
 
 
 class TestEngineFindings:

@@ -12,7 +12,6 @@ import textwrap
 from repro.audit.engine import analyze_source
 from repro.audit.graph import (
     MODULE_BODY,
-    ModuleFacts,
     ProjectIndex,
     find_sink_chains,
 )
@@ -95,25 +94,33 @@ class TestFactExtraction:
         (run,) = [f for f in facts.functions if f.name == "run"]
         assert [c.target for c in run.calls] == ["util.default_limit"]
 
-    def test_facts_round_trip_through_dicts(self):
+    def test_import_time_code_belongs_to_module_body(self):
         facts = facts_for(
             """
-            import time
+            import os
+            import util
 
 
-            class Base:
-                pass
+            @util.register
+            class Box:
+                nonce = os.urandom
 
-
-            class Derived(Base):
-                def tick(self):  # repro: allow(ST001)
-                    return time.time()
+                def get(self, size=util.default_size()):
+                    return util.helper(size)
             """,
             "pkg.mod",
         )
-        clone = ModuleFacts.from_dict(facts.to_dict())
-        assert clone.to_dict() == facts.to_dict()
-        assert clone.class_bases["Derived"] == ["Base"]
+        by_qual = {fn.qual: fn for fn in facts.functions}
+        body = by_qual[f"pkg.mod.{MODULE_BODY}"]
+        # The decorator and the class attribute run at import time; the
+        # method's default is attributed to the method (as a call).
+        assert sorted(u.target for u in body.uses) == [
+            "os.urandom", "util.register"
+        ]
+        get = by_qual["pkg.mod.Box.get"]
+        assert [c.target for c in get.calls] == [
+            "util.helper", "util.default_size"
+        ]
 
 
 class TestResolution:
@@ -211,7 +218,7 @@ class TestReachability:
         chains = find_sink_chains(index, start, clock_sink)
         assert [c[0] for c in chains] == [["m.a.ping", "m.b.pong"]]
 
-    def test_direct_sinks_in_start_are_excluded(self):
+    def test_direct_sink_is_a_chain_of_length_zero(self):
         index = build_index(
             {
                 "m.solo": """
@@ -224,8 +231,14 @@ class TestReachability:
             }
         )
         start = index.functions["m.solo.stamp"]
-        # Chain length 1 is the per-file rules' territory.
-        assert find_sink_chains(index, start, clock_sink) == []
+        ((chain, sink, holder, anchor),) = find_sink_chains(
+            index, start, clock_sink
+        )
+        assert chain == ["m.solo.stamp"]
+        assert holder is start
+        # A length-0 chain anchors at the use itself.
+        assert anchor is sink
+        assert sink.lineno == 6
 
     def test_shortest_chain_wins_per_sink(self):
         index = build_index(

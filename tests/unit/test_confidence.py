@@ -34,14 +34,14 @@ class TestHalfWidth:
 class TestConfidentIdentify:
     def test_everything_undecided_early(self):
         verdict = confident_identify(
-            [0.01, 0.05], thresholds=0.03, rounds=10, sigma=0.03
+            [0.01, 0.05], thresholds=0.03, samples=[10, 10], sigma=0.03
         )
         assert verdict.undecided == {0, 1}
         assert not verdict.decided
 
     def test_clear_separation_decides(self):
         verdict = confident_identify(
-            [0.01, 0.30], thresholds=0.1, rounds=5000, sigma=0.03
+            [0.01, 0.30], thresholds=0.1, samples=[5000, 5000], sigma=0.03
         )
         assert verdict.convicted == {1}
         assert verdict.cleared == {0}
@@ -49,33 +49,47 @@ class TestConfidentIdentify:
 
     def test_per_link_thresholds(self):
         verdict = confident_identify(
-            [0.20, 0.20], thresholds=[0.5, 0.05], rounds=5000, sigma=0.03
+            [0.20, 0.20], thresholds=[0.5, 0.05], samples=[5000, 5000],
+            sigma=0.03,
         )
         assert verdict.cleared == {0}
         assert verdict.convicted == {1}
 
     def test_variance_scale_widens(self):
         narrow = confident_identify(
-            [0.1], thresholds=0.05, rounds=5000, sigma=0.03, variance_scale=1.0
+            [0.1], thresholds=0.05, samples=[5000], sigma=0.03, variance_scale=1.0
         )
         wide = confident_identify(
-            [0.1], thresholds=0.05, rounds=5000, sigma=0.03, variance_scale=12.0
+            [0.1], thresholds=0.05, samples=[5000], sigma=0.03, variance_scale=12.0
         )
-        assert wide.half_width > 3 * narrow.half_width
+        assert wide.half_widths[0] > 3 * narrow.half_widths[0]
         assert narrow.convicted == {0}
         assert wide.undecided == {0}
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            confident_identify([0.1], thresholds=[0.1, 0.2], rounds=10, sigma=0.03)
+            confident_identify([0.1], thresholds=[0.1, 0.2], samples=[10], sigma=0.03)
         with pytest.raises(ConfigurationError):
-            confident_identify([0.1], thresholds=0.1, rounds=10, sigma=0.03,
+            confident_identify([0.1], thresholds=0.1, samples=[10], sigma=0.03,
                                variance_scale=0.0)
+        with pytest.raises(ConfigurationError):
+            confident_identify([0.1, 0.2], thresholds=0.1, samples=[10],
+                               sigma=0.03)
+
+    def test_each_interval_sized_by_its_own_samples(self):
+        # Same estimate, different evidence: only the well-sampled link
+        # is convicted; the 2-sample one stays undecided.
+        verdict = confident_identify(
+            [1.0, 1.0], thresholds=0.02, samples=[200, 2], sigma=0.03
+        )
+        assert verdict.convicted == {0}
+        assert verdict.undecided == {1}
+        assert verdict.half_widths[1] > verdict.half_widths[0]
 
     def test_verdict_dataclass(self):
         verdict = ConfidentVerdict(
             convicted={1}, cleared={0}, undecided=set(),
-            estimates=[0.0, 0.5], half_width=0.01, rounds=100,
+            estimates=[0.0, 0.5], half_widths=[0.01, 0.01], samples=[100, 100],
         )
         assert verdict.decided
 
@@ -101,7 +115,7 @@ class TestWireIntegration:
         late = protocol.confident_identify()
         assert 4 in late.convicted
         assert not late.convicted - {4}
-        assert late.half_width < early.half_width
+        assert max(late.half_widths) < min(early.half_widths)
 
     def test_paai2_uses_wider_intervals(self):
         from repro.core.params import ProtocolParams
@@ -115,6 +129,6 @@ class TestWireIntegration:
         paai2.run_traffic(count=500, rate=1000.0)
         fullack.run_traffic(count=500, rate=1000.0)
         assert (
-            paai2.confident_identify().half_width
-            > fullack.confident_identify().half_width
+            paai2.confident_identify().half_widths[0]
+            > fullack.confident_identify().half_widths[0]
         )
