@@ -9,9 +9,8 @@ the fast path was built to replace — each iteration costs a Python frame
 and, worse, tends to grow per-iteration attribute lookups and RNG calls
 that the batched equivalents amortize.
 
-Loops that are genuinely per-round by design (e.g. the fast path's own
-round-replay driver, whose rounds are *already* the batched unit) carry
-a ``# repro: allow(FP001)`` pragma.
+Loops that are genuinely per-round by design carry a
+``# repro: allow(FP001)`` pragma.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ doubles as a compact dictionary key inside node packet stores.
 from __future__ import annotations
 
 import hashlib
+from typing import List, Sequence
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -22,6 +23,14 @@ def hash_bytes(data: bytes) -> bytes:
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError(f"hash input must be bytes, got {type(data).__name__}")
     return hashlib.sha256(bytes(data)).digest()
+
+
+def _identifier_preimage(payload: bytes, timestamp: float) -> bytes:
+    """The injective encoding of ``m = <data || timestamp>`` behind ``H(m)``."""
+    encoded_time = repr(float(timestamp)).encode("ascii")
+    # Length-prefix the payload so (payload, timestamp) parsing is unique.
+    header = len(payload).to_bytes(8, "big")
+    return header + bytes(payload) + encoded_time
 
 
 def packet_identifier(payload: bytes, timestamp: float) -> bytes:
@@ -39,10 +48,24 @@ def packet_identifier(payload: bytes, timestamp: float) -> bytes:
     timestamp:
         The source timestamp embedded in the packet (seconds).
     """
-    encoded_time = repr(float(timestamp)).encode("ascii")
-    # Length-prefix the payload so (payload, timestamp) parsing is unique.
-    header = len(payload).to_bytes(8, "big")
-    return hash_bytes(header + bytes(payload) + encoded_time)
+    return hash_bytes(_identifier_preimage(payload, timestamp))
+
+
+def packet_identifiers(
+    payloads: Sequence[bytes], timestamps: Sequence[float]
+) -> List[bytes]:
+    """:func:`packet_identifier` of each ``(payload, timestamp)`` pair.
+
+    The batch form for replays that identify many packets at once: same
+    encoding, one call instead of one per packet.
+    """
+    if len(payloads) != len(timestamps):
+        raise ValueError("payloads and timestamps differ in length")
+    sha256 = hashlib.sha256
+    return [
+        sha256(_identifier_preimage(payload, timestamp)).digest()
+        for payload, timestamp in zip(payloads, timestamps)
+    ]
 
 
 def truncate(digest: bytes, size: int) -> bytes:

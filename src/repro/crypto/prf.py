@@ -18,6 +18,7 @@ expose integer, fraction and Bernoulli output modes.
 from __future__ import annotations
 
 import hashlib
+from typing import List, Sequence
 
 from repro.crypto.mac import hmac_pads, hmac_sha256
 from repro.obs.registry import get_registry
@@ -169,3 +170,46 @@ class HotPRF:
         outer.update(inner.digest())
         value = int.from_bytes(outer.digest()[:8], "big")
         return value / self._SCALE < probability
+
+    def bernoulli_many(
+        self, inputs: Sequence[bytes], probability: float
+    ) -> List[bool]:
+        """:meth:`bernoulli` of every input, in one call.
+
+        Each digest is compared with :func:`fraction_threshold` written as
+        eight big-endian bytes and padded with zeros to the digest's
+        length: byte order then equals the order of the 8-byte prefixes
+        as integers, which decides exactly as ``fraction < probability``
+        does.
+        """
+        if not 0.0 <= probability <= 1.0:
+            raise ValueError(f"probability must be in [0, 1], got {probability}")
+        bound = fraction_threshold(probability).to_bytes(8, "big") + bytes(24)
+        inner_copy, outer_copy = self._inner.copy, self._outer.copy
+        coins = []
+        for data in inputs:
+            inner = inner_copy()
+            inner.update(data)
+            outer = outer_copy()
+            outer.update(inner.digest())
+            coins.append(outer.digest() < bound)
+        return coins
+
+
+def fraction_threshold(probability: float) -> int:
+    """Smallest 8-byte value whose PRF fraction is not below ``probability``.
+
+    :meth:`PRF.fraction` rounds the value to a double before dividing by
+    ``2**64``, so the fraction only grows with the value (values within
+    ``2**10`` of ``2**64`` even give 1.0). Hence ``value < threshold``
+    exactly when ``value / 2**64 < probability``; the threshold is found
+    by bisection on that very expression.
+    """
+    low, high = 0, 1 << 64
+    while low < high:
+        middle = (low + high) // 2
+        if middle / HotPRF._SCALE < probability:
+            low = middle + 1
+        else:
+            high = middle
+    return low

@@ -38,6 +38,7 @@ from repro.obs.ledger import get_ledger
 from repro.obs.profile import phase as profile_phase
 from repro.parallel.engine import run_tasks, shard_seed, shard_sizes
 from repro.protocols import models
+from repro.protocols.statfl import check_sketch_parameters
 from repro.workloads.scenarios import Scenario
 
 #: Target runs per shard: small enough that full-scale batches decompose
@@ -72,7 +73,8 @@ def resolve_checkpoints(
 ) -> List[int]:
     """The checkpoint grid of a ``horizon``-packet run: ``checkpoints``
     as given, or :func:`default_checkpoints` when None. An empty,
-    non-ascending, or beyond-horizon list is a configuration error."""
+    non-ascending, non-positive or beyond-horizon list is a
+    configuration error, as it is for ``DetectionRequest``."""
     if checkpoints is None:
         return default_checkpoints(horizon)
     resolved = list(checkpoints)
@@ -80,6 +82,8 @@ def resolve_checkpoints(
         raise ConfigurationError("checkpoints must not be empty")
     if sorted(resolved) != resolved:
         raise ConfigurationError("checkpoints must be ascending")
+    if resolved[0] <= 0:
+        raise ConfigurationError("checkpoints must be positive")
     if resolved[-1] > horizon:
         raise ConfigurationError("checkpoints exceed horizon")
     return resolved
@@ -253,6 +257,7 @@ class DetectionExperiment:
         self.runs = runs
         self.horizon = horizon
         self.checkpoints = resolve_checkpoints(horizon, checkpoints)
+        check_sketch_parameters(fl_sampling, fl_interval)
         self.seed = seed
         self.fl_sampling = fl_sampling
         self.fl_interval = fl_interval

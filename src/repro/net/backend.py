@@ -107,7 +107,12 @@ class DetectionRequest:
             raise ConfigurationError("checkpoints must be a sorted non-empty list")
         if checkpoints[0] <= 0:
             raise ConfigurationError("checkpoints must be positive")
+        if checkpoints[-1] > self.horizon:
+            raise ConfigurationError("checkpoints exceed horizon")
         self.checkpoints = checkpoints
+        from repro.protocols.statfl import check_sketch_parameters
+
+        check_sketch_parameters(self.fl_sampling, self.fl_interval)
 
 
 @dataclass

@@ -24,8 +24,22 @@ identically. This also covers PAAI-1's pipelined probe, which trails the
 data packet by one hop in event time but still draws after it on every
 individual link stream (FIFO links, later send times).
 
-Draw batching
--------------
+Failure schedules
+-----------------
+Each stream is consumed in *units* with a fixed draw pattern. A link
+crossing takes one loss draw and, when the packet survives, one latency
+draw (its value cannot change outcomes under serialized rounds, but it
+keeps the stream aligned); an adversary coin takes one draw. So the k-th
+unit on a stream starts at a draw index fixed by the outcomes of units
+``0..k-1`` on that stream alone, and it fails exactly when that draw is
+below the stream's probability (``ρ`` or the drop rate).
+:class:`FailureSchedule` therefore keeps only a cursor and the indices of
+the failing draws, found with ``flatnonzero(block < p)`` over blocks of
+the very doubles the event engine draws. A surviving crossing advances the
+cursor by two, so the loss draws of a run of surviving crossings share
+the cursor's parity: link schedules split their failure indices by
+parity, and the first failure in the cursor's lane ends the run.
+
 :class:`DrawStream` reproduces CPython's Mersenne Twister with numpy:
 ``random.Random(seed)`` for ``2**32 <= seed < 2**64`` seeds the twister
 via ``init_by_array([seed & 0xffffffff, seed >> 32])``, exactly what
@@ -33,9 +47,23 @@ via ``init_by_array([seed & 0xffffffff, seed >> 32])``, exactly what
 and both produce doubles with the same 53-bit recipe. Stream seeds are
 the first 8 bytes of ``sha256(f"{seed}:{label}")`` (mirroring
 ``RngFactory.stream``), so they virtually always take the numpy path and
-draws are refilled in batches of :data:`BLOCK` — the "sample all the
-round's coin flips in one vectorized draw" trick, amortized across
-rounds. Seeds below ``2**32`` fall back to a scalar ``random.Random``.
+are drawn :data:`BLOCK` at a time. Seeds below ``2**32`` fall back to a
+scalar ``random.Random``.
+
+Clean-round skipping
+--------------------
+A *clean* round loses nothing, drops nothing, delivers the data and ends
+there: the onion-ack e2e ack is verified too, the PAAI-1 round is not
+sampled, the statfl round is not an interval-request boundary. Every
+stream spends a fixed number of surviving units on it and its effects are
+fixed — one transmission per link and pass, and fixed protocol counters.
+The replay asks every schedule how many surviving units lie ahead, skips
+the common number of clean rounds in one step, and walks only the rounds
+in between, link by link, taking their crossings and coins from the same
+schedules. PAAI-1's sampling coins and statfl's sketch coins are pure
+functions of the packet's sequence number, so they are evaluated a chunk
+of rounds at a time (:meth:`repro.crypto.prf.HotPRF.bernoulli_many` over
+:func:`repro.crypto.hashing.packet_identifiers`).
 
 Eligibility
 -----------
@@ -49,13 +77,14 @@ engine used per run is recorded in ``BackendRunResult.engines``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.crypto.hashing import packet_identifier
+from repro.crypto.hashing import packet_identifiers
 from repro.crypto.keys import KeyManager
-from repro.crypto.prf import PRF
+from repro.crypto.prf import PRF, HotPRF
 from repro.net.backend import (
     BackendRunResult,
     DetectionRequest,
@@ -70,8 +99,11 @@ from repro.obs.profile import phase as profile_phase
 from repro.obs.registry import CounterBatch, metrics_enabled
 from repro.protocols.models import decision_thresholds
 
-#: Doubles fetched per vectorized refill of a :class:`DrawStream`.
+#: Doubles drawn per vectorized refill of a :class:`DrawStream`.
 BLOCK = 4096
+
+#: Rounds whose PRF coins are evaluated in one batch.
+COIN_CHUNK = 1024
 
 #: ``fastpath_family`` tags with a ported round replay.
 PORTED_FAMILIES = ("onion-ack", "paai1", "statfl")
@@ -92,9 +124,11 @@ _STATFL_MAX_ATTEMPTS = 3
 class DrawStream:
     """Batched clone of one ``RngFactory.stream`` ``random.Random``.
 
-    Produces the identical sequence of ``random()`` doubles, refilled
-    :data:`BLOCK` at a time through numpy when the seed admits the
-    two-word ``init_by_array`` equivalence (see module docstring).
+    :meth:`block` yields the stream's doubles :data:`BLOCK` at a time,
+    through numpy when the seed admits the two-word ``init_by_array``
+    equivalence (see module docstring); :meth:`random` serves the same
+    sequence one double at a time. A stream is read through one of the
+    two, never both.
     """
 
     __slots__ = ("_state", "_buffer", "_position", "_scalar")
@@ -114,16 +148,83 @@ class DrawStream:
         self._buffer: List[float] = []
         self._position = 0
 
+    def block(self) -> np.ndarray:
+        """The next :data:`BLOCK` doubles in [0, 1), as one array."""
+        if self._scalar is not None:
+            draw = self._scalar.random
+            return np.array([draw() for _ in range(BLOCK)])
+        return self._state.random_sample(BLOCK)
+
     def random(self) -> float:
         """Next double in [0, 1) — bit-identical to the event engine's."""
-        if self._scalar is not None:
-            return self._scalar.random()
         if self._position >= len(self._buffer):
-            self._buffer = self._state.random_sample(BLOCK).tolist()
+            self._buffer = self.block().tolist()
             self._position = 0
         value = self._buffer[self._position]
         self._position += 1
         return value
+
+
+class FailureSchedule:
+    """One stream seen through its failing draws, consumed unit by unit.
+
+    A unit is a link crossing (``stride`` 2) or an adversary coin
+    (``stride`` 1). The unit starting at draw ``cursor`` fails iff that
+    draw is below ``probability``; a failed unit consumes one draw, a
+    surviving one ``stride`` draws. Only failure indices are kept, in
+    ``stride`` lanes by ``index % stride``: the deciding draws of a run
+    of surviving units all lie in the cursor's lane, so the first failure
+    there ends the run. A probability outside (0, 1) decides every draw
+    without reading it (doubles lie in [0, 1)), so no stream is drawn.
+    """
+
+    __slots__ = ("cursor", "_stride", "_probability", "_draws", "_lanes", "_scanned")
+
+    def __init__(self, seed: int, probability: float, stride: int) -> None:
+        self.cursor = 0
+        self._stride = stride
+        self._probability = probability
+        self._draws = DrawStream(seed) if 0.0 < probability < 1.0 else None
+        self._lanes: List[List[int]] = [[] for _ in range(stride)]
+        self._scanned = 0  # draws examined so far
+
+    def _first_failure(self, limit: int) -> int:
+        """Index of the first failing draw at or past the cursor in the
+        cursor's lane; ``limit`` or more when none lies below ``limit``."""
+        if self._draws is None:
+            return self.cursor if self._probability >= 1.0 else limit
+        lane = self._lanes[self.cursor % self._stride]
+        while True:
+            at = bisect_left(lane, self.cursor)
+            if at < len(lane):
+                return lane[at]
+            if self._scanned >= limit:
+                return limit
+            self._scan()
+
+    def _scan(self) -> None:
+        """Index the failures of the next block; forget those behind the cursor."""
+        block = self._draws.block()
+        hits = np.flatnonzero(block < self._probability) + self._scanned
+        self._scanned += len(block)
+        for residue, lane in enumerate(self._lanes):
+            del lane[: bisect_left(lane, self.cursor)]
+            lane.extend(hits[hits % self._stride == residue].tolist())
+
+    def fail(self) -> bool:
+        """Consume one unit; True when it fails."""
+        failed = self._first_failure(self.cursor + 1) == self.cursor
+        self.cursor += 1 if failed else self._stride
+        return failed
+
+    def clean(self, units: int) -> int:
+        """How many of the next ``units`` units survive in a row."""
+        limit = self.cursor + units * self._stride
+        return (min(self._first_failure(limit), limit) - self.cursor) // self._stride
+
+    def skip(self, units: int) -> None:
+        """Consume ``units`` units known to survive."""
+        self.cursor += units * self._stride
 
 
 def stream_seed(root_seed: int, label: str) -> int:
@@ -248,24 +349,28 @@ class _RoundReplay:
     ) -> None:
         scenario = request.scenario
         params = scenario.params
-        self.params = params
         self.family = family
         self.d = params.path_length
-        self.rho = params.natural_loss
         self.interval = wire_send_interval(params)
+        self.horizon = request.checkpoints[-1]
         self.tally = tally
         self.links = [
-            DrawStream(stream_seed(seed, f"link-{index}"))
+            FailureSchedule(
+                stream_seed(seed, f"link-{index}"), params.natural_loss, stride=2
+            )
             for index in range(self.d)
         ]
         # Adversary streams draw one coin per matching crossing, but only
         # when the rate is strictly positive (PaperTacticAdversary
         # short-circuits the draw at rate 0).
-        self.adversaries: Dict[int, Tuple[DrawStream, float]] = {
-            position: (DrawStream(stream_seed(seed, f"adversary-{position}")), rate)
+        self.adversaries: Dict[int, FailureSchedule] = {
+            position: FailureSchedule(
+                stream_seed(seed, f"adversary-{position}"), rate, stride=1
+            )
             for position, rate in scenario.malicious_nodes.items()
             if rate > 0.0
         }
+        self.schedules = self.links + list(self.adversaries.values())
         keys = KeyManager(self.d, seed=DEFAULT_KEY_SEED)
         # Per-link transmission/loss tallies, one (tx, loss) vector pair
         # per traffic class the replay generates. Plain list increments
@@ -276,6 +381,11 @@ class _RoundReplay:
             (_PROBE, _FORWARD): ([0] * self.d, [0] * self.d),
             (_ACK, _REVERSE): ([0] * self.d, [0] * self.d),
         }
+        # A clean round relays the data forward and, for onion-ack, the
+        # e2e ack back: one surviving unit per pass on every stream.
+        self.clean_tx = [self.series[_DATA, _FORWARD][0]]
+        if family == "onion-ack":
+            self.clean_tx.append(self.series[_ACK, _REVERSE][0])
         # Scoreboard mirror (DirectEstimator state) for the onion families.
         self.board_rounds = 0
         self.scores = [0] * self.d
@@ -285,21 +395,28 @@ class _RoundReplay:
         self.acks_verified = 0
         self.report_timeouts = 0
         self.sampling_hits = 0
+        self.next_round = 0
+        # Per-round PRF coins of the current chunk of rounds: one row per
+        # PRF in ``coin_prfs``, one column per round from ``chunk_start``.
+        self.chunk_start = self.chunk_end = 0
+        self.coin_prfs: List[HotPRF] = []
+        self.coins = np.zeros((0, 0), dtype=bool)
         if family == "paai1":
             # HotPRF clone of SecureSampler's PRF (bit-identical coins).
-            self.sampler = PRF(
-                keys.source_sampling_key, label="paai1-secure-sampling"
-            ).hot()
-            self.probe_frequency = params.probe_frequency
+            self.coin_prfs = [
+                PRF(keys.source_sampling_key, label="paai1-secure-sampling").hot()
+            ]
+            self.coin_probability = params.probe_frequency
+            self.sampled_rounds: List[int] = []
         elif family == "statfl":
             self.fl_sampling = request.fl_sampling
             self.fl_interval = request.fl_interval
-            self.sketch_prfs = {
-                position: PRF(
-                    keys.master_key(position), label="statfl-sketch"
-                ).hot()
+            # Row ``position - 1``: the sketch coin of node ``position``.
+            self.coin_prfs = [
+                PRF(keys.master_key(position), label="statfl-sketch").hot()
                 for position in range(1, self.d + 1)
-            }
+            ]
+            self.coin_probability = request.fl_sampling
             self.sketch_counts = [0] * (self.d + 1)
             self.latest_counts: Dict[int, int] = {}
             self.latest_snapshot: Dict[int, int] = {}
@@ -315,34 +432,107 @@ class _RoundReplay:
                 "net.link.natural_losses", kind, direction, loss
             )
 
+    # -- round driver ------------------------------------------------------
+
+    def advance(self, until: int) -> None:
+        """Replay rounds ``next_round .. until - 1``: clean stretches in
+        one step each, every other round walked."""
+        index = self.next_round
+        while index < until:
+            if index == self.chunk_end:
+                self._load_chunk(index)
+            stop = min(until, self.chunk_end)
+            clean = self._clean_rounds(min(stop, self._next_busy(index)) - index)
+            if clean:
+                self._skip(index, clean)
+                index += clean
+            if index < stop:
+                self._walk_round(index)
+                index += 1
+        self.next_round = index
+
+    def _load_chunk(self, start: int) -> None:
+        """Evaluate the per-round PRF coins of the next chunk of rounds."""
+        end = min(start + COIN_CHUNK, self.horizon)
+        self.chunk_start, self.chunk_end = start, end
+        if not self.coin_prfs:
+            return
+        sequences = range(start, end)
+        identifiers = packet_identifiers(
+            [b"data-%016d" % sequence for sequence in sequences],
+            [sequence * self.interval for sequence in sequences],
+        )
+        self.coins = np.array(
+            [
+                prf.bernoulli_many(identifiers, self.coin_probability)
+                for prf in self.coin_prfs
+            ]
+        )
+        if self.family == "paai1":
+            self.sampled_rounds = (np.flatnonzero(self.coins[0]) + start).tolist()
+
+    def _next_busy(self, index: int) -> int:
+        """First round at or after ``index`` that must be walked whatever
+        its draws: a sampled PAAI-1 round, a statfl request boundary."""
+        if self.family == "paai1":
+            at = bisect_left(self.sampled_rounds, index)
+            if at < len(self.sampled_rounds):
+                return self.sampled_rounds[at]
+            return self.chunk_end
+        if self.family == "statfl":
+            return index + (-(index + 1)) % self.fl_interval
+        return self.chunk_end
+
+    def _clean_rounds(self, limit: int) -> int:
+        """How many of the next ``limit`` rounds every stream survives."""
+        passes = len(self.clean_tx)
+        rounds = limit
+        for schedule in self.schedules:
+            if not rounds:
+                break
+            rounds = schedule.clean(rounds * passes) // passes
+        return rounds
+
+    def _skip(self, index: int, rounds: int) -> None:
+        """Apply ``rounds`` clean rounds starting at round ``index``."""
+        for schedule in self.schedules:
+            schedule.skip(rounds * len(self.clean_tx))
+        for tx in self.clean_tx:
+            for link in range(self.d):
+                tx[link] += rounds
+        if self.family == "onion-ack":
+            self.acks_verified += rounds
+            self.board_rounds += rounds
+            self.obs_rounds += rounds
+        elif self.family == "statfl":
+            self.board_rounds += rounds
+            column = index - self.chunk_start
+            sampled = self.coins[:, column : column + rounds].sum(axis=1)
+            for position, count in enumerate(sampled.tolist(), start=1):
+                self.sketch_counts[position] += count
+
     # -- draw primitives ---------------------------------------------------
 
     def _cross(self, link: int, tx: List[int], loss: List[int]) -> bool:
         """One crossing attempt; True when the packet survives.
 
         Mirrors ``Link.transmit``: the transmission counts before the
-        loss coin, and the latency draw happens only for survivors (its
-        value cannot change outcomes under serialized rounds, but it
-        must be consumed to keep the stream aligned).
+        loss draw, and the schedule's stride consumes the survivor's
+        latency draw.
         """
         tx[link] += 1
-        stream = self.links[link]
-        if stream.random() < self.rho:
+        if self.links[link].fail():
             loss[link] += 1
             return False
-        stream.random()  # latency draw (uniform [0, max_link_latency))
         return True
 
     def _coin(self, position: int, kind: str, direction: str, cause: str) -> bool:
         """Adversary drop coin at ``position``; True when dropped."""
-        entry = self.adversaries.get(position)
-        if entry is None:
+        schedule = self.adversaries.get(position)
+        if schedule is None or not schedule.fail():
             return False
-        stream, rate = entry
-        if stream.random() < rate:
-            self.tally.node_drop(position, kind, direction, cause)
-            return True
-        return False
+        self.tally.node_drop(position, kind, direction, cause)
+        return True
 
     # -- packet walks ------------------------------------------------------
 
@@ -440,28 +630,20 @@ class _RoundReplay:
 
     # -- round models ------------------------------------------------------
 
-    def run_round(self, index: int) -> None:
-        timestamp = index * self.interval
+    def _walk_round(self, index: int) -> None:
         if self.family == "statfl":
-            self._statfl_round(timestamp, index)
+            self._statfl_round(index)
         else:
-            self._onion_round(timestamp, index)
+            self._onion_round(index)
 
-    def _onion_round(self, timestamp: float, sequence: int) -> None:
+    def _onion_round(self, index: int) -> None:
         """One full-ack / sig-ack / PAAI-1 round."""
         d = self.d
         paai1 = self.family == "paai1"
-        if paai1:
-            identifier = packet_identifier(
-                b"data-%016d" % sequence, timestamp
-            )
-            sampled = self.sampler.bernoulli(
-                identifier, self.probe_frequency
-            )
         reach = self._forward_walk(_DATA)
         delivered = reach == d
         if paai1:
-            if not sampled:
+            if not self.coins[0, index - self.chunk_start]:
                 return  # unmonitored packet: no probe, no observation
             self.sampling_hits += 1
             frontier = min(reach, d - 1)
@@ -489,17 +671,15 @@ class _RoundReplay:
         else:
             self.scores[depth] += 1
 
-    def _statfl_round(self, timestamp: float, sequence: int) -> None:
+    def _statfl_round(self, index: int) -> None:
         """One statfl data round, plus the interval report collection."""
         self.board_rounds += 1
-        identifier = packet_identifier(b"data-%016d" % sequence, timestamp)
         reach = self._forward_walk(_DATA)
+        column = index - self.chunk_start
         for position in range(1, reach + 1):
-            if self.sketch_prfs[position].bernoulli(
-                identifier, self.fl_sampling
-            ):
+            if self.coins[position - 1, column]:
                 self.sketch_counts[position] += 1
-        sent = sequence + 1
+        sent = index + 1
         if sent % self.fl_interval == 0:
             self._statfl_request(snapshot=sent)
 
@@ -598,15 +778,10 @@ class FastpathBackend(SimulationBackend):
                     tally,
                 )
             scribe = RunLedgerScribe(request, run_index, thresholds)
-            done = 0
             estimates = np.zeros(params.path_length)
             for slot, checkpoint in enumerate(request.checkpoints):
-                # The sequential round loop *is* the vectorization
-                # boundary: draws inside it are batched per stream.
                 with profile_phase("wire-replay"):
-                    for round_index in range(done, checkpoint):  # repro: allow(FP001)
-                        replay.run_round(round_index)
-                done = checkpoint
+                    replay.advance(checkpoint)
                 with profile_phase("scoring"):
                     estimates = np.asarray(replay.estimates())
                 with profile_phase("conviction"):

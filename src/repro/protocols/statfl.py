@@ -302,6 +302,20 @@ class StatFLSource(SourceAgent):
         ]
 
 
+def check_sketch_parameters(fl_sampling: float, interval_length: int) -> None:
+    """Reject sketch parameters no engine can run: a sampling probability
+    outside (0, 1] or a non-positive report interval. Every entry point
+    (this protocol, ``DetectionRequest``, ``DetectionExperiment``) checks
+    with this one rule, so the model, fastpath and event engines refuse
+    the same requests."""
+    if not 0.0 < fl_sampling <= 1.0:
+        raise ConfigurationError(f"fl_sampling must be in (0, 1], got {fl_sampling}")
+    if interval_length <= 0:
+        raise ConfigurationError(
+            f"statfl interval length must be positive, got {interval_length}"
+        )
+
+
 class StatisticalFLProtocol(WireProtocol):
     """Wire instance of the statistical FL baseline.
 
@@ -324,10 +338,7 @@ class StatisticalFLProtocol(WireProtocol):
         interval_length: int = DEFAULT_INTERVAL,
         **kwargs,
     ) -> None:
-        if not 0.0 < fl_sampling <= 1.0:
-            raise ConfigurationError("fl_sampling must be in (0, 1]")
-        if interval_length <= 0:
-            raise ConfigurationError("interval_length must be positive")
+        check_sketch_parameters(fl_sampling, interval_length)
         self.fl_sampling = fl_sampling
         self.interval_length = interval_length
         super().__init__(*args, **kwargs)

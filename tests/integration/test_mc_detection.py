@@ -193,8 +193,8 @@ class TestCheckpointValidation:
     )
     @pytest.mark.parametrize(
         "checkpoints",
-        [[], [20, 10], [10, 500]],
-        ids=["empty", "descending", "beyond-horizon"],
+        [[], [20, 10], [10, 500], [0, 100]],
+        ids=["empty", "descending", "beyond-horizon", "zero"],
     )
     def test_rejected(self, build, checkpoints):
         with pytest.raises(ConfigurationError):

@@ -1,12 +1,14 @@
 """Unit coverage for the fast-path building blocks: DrawStream's
-bit-identity with ``random.Random``, HotPRF's identity with PRF,
-CounterBatch semantics, and the backend-seam plumbing."""
+bit-identity with ``random.Random``, failure schedules against naive
+per-draw consumption, HotPRF's (and its batched coin's) identity with
+PRF, CounterBatch semantics, and the backend-seam plumbing."""
 
+import math
 import random
 
 import pytest
 
-from repro.crypto.prf import PRF, HotPRF
+from repro.crypto.prf import PRF, HotPRF, fraction_threshold
 from repro.exceptions import ConfigurationError
 from repro.net.backend import (
     BACKEND_NAMES,
@@ -16,7 +18,13 @@ from repro.net.backend import (
     run_seed,
     wire_send_interval,
 )
-from repro.net.fastpath import DrawStream, FastpathBackend, stream_seed
+from repro.net.fastpath import (
+    BLOCK,
+    DrawStream,
+    FailureSchedule,
+    FastpathBackend,
+    stream_seed,
+)
 from repro.net.rng import RngFactory
 from repro.obs.registry import (
     CounterBatch,
@@ -61,6 +69,80 @@ class TestDrawStream:
         assert stream_seed(7, "link-3") == RngFactory(7).stream_seed("link-3")
 
 
+class _NaiveStream:
+    """Per-draw reference: a unit reads one draw and, when it survives,
+    ``stride - 1`` more (the link latency draw)."""
+
+    def __init__(self, seed, probability, stride):
+        self.rng = random.Random(seed)
+        self.probability = probability
+        self.stride = stride
+        self.position = 0
+
+    def fail(self):
+        failed = self.rng.random() < self.probability
+        self.position += 1
+        if not failed:
+            for _ in range(self.stride - 1):
+                self.rng.random()
+                self.position += 1
+        return failed
+
+    def clean(self, units):
+        state = self.rng.getstate(), self.position
+        run = 0
+        while run < units and not self.fail():
+            run += 1
+        self.rng.setstate(state[0])
+        self.position = state[1]
+        return run
+
+
+class TestFailureSchedule:
+    LARGE_SEED = stream_seed(982451653, "link-3")  # numpy two-word path
+    SMALL_SEED = 12345  # below 2**32: scalar fallback path
+
+    @pytest.mark.parametrize("stride", [1, 2], ids=["unpaired", "paired"])
+    @pytest.mark.parametrize("probability", [0.0, 1e-4, 0.01, 1.0])
+    @pytest.mark.parametrize("seed", [LARGE_SEED, SMALL_SEED], ids=["large", "small"])
+    def test_matches_naive_consumption(self, seed, probability, stride):
+        schedule = FailureSchedule(seed, probability, stride)
+        naive = _NaiveStream(seed, probability, stride)
+        steer = random.Random(seed ^ stride)
+        # Mixed single units and bulk skips past >= 3 block boundaries.
+        while naive.position < 3 * BLOCK + 500:
+            if steer.random() < 0.5:
+                assert schedule.fail() == naive.fail()
+            else:
+                wanted = steer.randrange(1, 400)
+                run = schedule.clean(wanted)
+                assert run == naive.clean(wanted)
+                schedule.skip(run)
+                for _ in range(run):
+                    assert not naive.fail()
+            assert schedule.cursor == naive.position
+
+    def test_keeps_failure_indices_not_draws(self):
+        probability = 0.01
+        schedule = FailureSchedule(self.LARGE_SEED, probability, stride=2)
+        while schedule.cursor < 3 * BLOCK:
+            schedule.skip(schedule.clean(10_000))
+            schedule.fail()
+        reference = DrawStream(self.LARGE_SEED)
+        draws = [reference.random() for _ in range(4 * BLOCK)]
+        kept = [index for lane in schedule._lanes for index in lane]
+        assert all(draws[index] < probability for index in kept)
+        assert len(kept) < 0.05 * BLOCK  # a block's failures, not its draws
+        assert not schedule._draws._buffer  # no per-draw buffer was filled
+
+    def test_unit_probabilities_read_no_draws(self):
+        never = FailureSchedule(self.LARGE_SEED, 0.0, stride=2)
+        always = FailureSchedule(self.LARGE_SEED, 1.0, stride=1)
+        assert never.clean(10**9) == 10**9
+        assert always.clean(10) == 0 and always.fail()
+        assert never._draws is None and always._draws is None
+
+
 class TestHotPRF:
     def test_identical_to_prf(self):
         prf = PRF(b"k" * 32, label="statfl-sketch")
@@ -83,6 +165,59 @@ class TestHotPRF:
         hot = HotPRF(b"key")
         with pytest.raises(ValueError):
             hot.bernoulli(b"data", 1.5)
+
+
+class TestBatchedCoin:
+    PROBABILITIES = [0.0, 1.0, 0.01, 1 / 36]
+
+    @staticmethod
+    def _neighbours(probability):
+        return sorted(
+            {
+                min(1.0, max(0.0, value))
+                for value in (
+                    probability,
+                    math.nextafter(probability, 0.0),
+                    math.nextafter(probability, 2.0),
+                )
+            }
+        )
+
+    def test_equals_prf_bernoulli(self):
+        prf = PRF(b"k" * 32, label="paai1-secure-sampling")
+        hot = prf.hot()
+        inputs = [b"packet-%d" % index for index in range(300)]
+        for probability in self.PROBABILITIES:
+            for p in self._neighbours(probability):
+                expected = [prf.bernoulli(data, p) for data in inputs]
+                assert hot.bernoulli_many(inputs, p) == expected
+
+    def test_threshold_is_exact_at_its_edges(self):
+        for probability in self.PROBABILITIES:
+            for p in self._neighbours(probability):
+                threshold = fraction_threshold(p)
+                for value in (threshold - 1, threshold, threshold + 1):
+                    if 0 <= value < 1 << 64:
+                        assert (value < threshold) == (
+                            value / float(1 << 64) < p
+                        )
+
+    def test_values_rounding_up_to_two_pow_64(self):
+        top = 1 << 64
+        for value in (top - 1, top - 512, top - 1024):
+            assert float(value) == float(top)  # rounds up: fraction 1.0
+            assert not value < fraction_threshold(1.0)
+            assert not value / float(top) < 1.0
+        assert top - 1025 < fraction_threshold(1.0)
+        assert (top - 1025) / float(top) < 1.0
+
+    def test_empty_batch_and_validation(self):
+        hot = HotPRF(b"key")
+        assert hot.bernoulli_many([], 0.5) == []
+        with pytest.raises(ValueError):
+            hot.bernoulli_many([b"data"], 1.5)
+        with pytest.raises(ValueError):
+            hot.bernoulli(b"data", -0.1)
 
 
 class TestCounterBatch:
@@ -150,6 +285,9 @@ class TestBackendSeam:
         with pytest.raises(ConfigurationError):
             DetectionRequest("full-ack", scenario, runs=1, horizon=10,
                              checkpoints=[10], seed=0, run_offset=-1)
+        with pytest.raises(ConfigurationError):
+            DetectionRequest("full-ack", scenario, runs=1, horizon=10,
+                             checkpoints=[5, 15], seed=0)
 
     def test_run_seed_is_stable_and_distinct(self):
         assert run_seed(0, 0) == run_seed(0, 0)

@@ -4,7 +4,12 @@ import hashlib
 
 import pytest
 
-from repro.crypto.hashing import hash_bytes, packet_identifier, truncate
+from repro.crypto.hashing import (
+    hash_bytes,
+    packet_identifier,
+    packet_identifiers,
+    truncate,
+)
 
 
 class TestHashBytes:
@@ -43,6 +48,19 @@ class TestPacketIdentifier:
 
     def test_int_timestamp_normalized(self):
         assert packet_identifier(b"x", 1) == packet_identifier(b"x", 1.0)
+
+    def test_batch_equals_single(self):
+        payloads = [b"data-%016d" % index for index in range(50)] + [b""]
+        timestamps = [index * 0.3 for index in range(50)] + [7]
+        assert packet_identifiers(payloads, timestamps) == [
+            packet_identifier(payload, timestamp)
+            for payload, timestamp in zip(payloads, timestamps)
+        ]
+        assert packet_identifiers([], []) == []
+
+    def test_batch_rejects_ragged_inputs(self):
+        with pytest.raises(ValueError):
+            packet_identifiers([b"a", b"b"], [1.0])
 
 
 class TestTruncate:
