@@ -152,6 +152,7 @@ def pytest_sessionfinish(session, exitstatus):
                 backend=extra["backend"],
                 protocol=extra.get("protocol"),
                 horizon=extra.get("horizon"),
+                repeats=extra.get("repeats"),
                 event_seconds=extra.get("event_seconds"),
                 fastpath_seconds=extra.get("fastpath_seconds"),
                 speedup=extra.get("speedup"),

@@ -3,11 +3,13 @@
 Each benchmark drives a reduced figure2/table2-shaped wire workload
 (log-spaced checkpoints, paper scenario, same seed) through both wire
 backends, asserts the detection outcomes are byte-identical — including
-the evidence ledger each engine emits — and asserts the fast path clears
-its speedup floor. The conftest splits these records (marked with
+the evidence ledger each engine emits — on every repeat, and asserts the
+fast path clears its speedup floor, each engine timed as the median of
+:data:`REPEATS` runs. The conftest splits these records (marked with
 ``extra_info["backend"]``) into ``BENCH_fastpath.json``.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from repro.mc.detection import default_checkpoints
 from repro.net.backend import DetectionRequest, get_backend
+from repro.net.fastpath import clear_coin_tables
 from repro.obs.ledger import EvidenceLedger, using_ledger
 from repro.workloads.scenarios import paper_scenario
 
@@ -30,6 +33,9 @@ WORKLOADS = [
     ("statfl", 1, 8_000, 4.0),
 ]
 
+#: Timed runs per engine and workload; the floors apply to the medians.
+REPEATS = 3
+
 
 def _request(protocol, runs, horizon):
     return DetectionRequest(
@@ -42,6 +48,15 @@ def _request(protocol, runs, horizon):
     )
 
 
+def _timed(backend_name, request):
+    """One run of ``request``: ``(seconds, result, ledger JSONL lines)``."""
+    ledger = EvidenceLedger()
+    started = time.perf_counter()
+    with using_ledger(ledger):
+        result = get_backend(backend_name).run(request)
+    return time.perf_counter() - started, result, list(ledger.to_jsonl_lines())
+
+
 @pytest.mark.parametrize(
     "protocol, runs, horizon, floor",
     WORKLOADS,
@@ -52,48 +67,50 @@ def test_fastpath_speedup_and_equivalence(
 ):
     request = _request(protocol, runs, horizon)
 
-    event_ledger = EvidenceLedger()
-    started = time.perf_counter()
-    with using_ledger(event_ledger):
-        event_result = get_backend("event").run(request)
-    event_seconds = time.perf_counter() - started
-
-    fast_ledger = EvidenceLedger()
-
-    def run_fastpath():
-        with using_ledger(fast_ledger):
-            return get_backend("fastpath").run(request)
-
-    started = time.perf_counter()
-    fast_result = benchmark.pedantic(run_fastpath, rounds=1, iterations=1)
-    fast_seconds = time.perf_counter() - started
-
-    # The equivalence gate: identical convictions, estimates, and ledger
-    # JSONL at the same seed, and no silent event-engine fallback.
-    assert fast_result.engines == ["fastpath"] * runs
-    assert np.array_equal(fast_result.convictions, event_result.convictions)
-    assert np.array_equal(
-        fast_result.estimates_last, event_result.estimates_last
-    )
-    fast_lines = list(fast_ledger.to_jsonl_lines())
-    event_lines = list(event_ledger.to_jsonl_lines())
-    assert fast_lines and fast_lines == event_lines, (
-        f"{protocol}: engines emitted different evidence ledgers"
+    event_samples = [_timed("event", request) for _ in range(REPEATS)]
+    fast_samples = []
+    # Each fastpath sample starts from empty coin tables, so the speedup
+    # stays a cold-process figure that earlier samples cannot inflate.
+    benchmark.pedantic(
+        lambda: fast_samples.append(_timed("fastpath", request)),
+        setup=clear_coin_tables,
+        rounds=REPEATS,
+        iterations=1,
     )
 
+    # The equivalence gate, on every repeat: identical convictions,
+    # estimates, and ledger JSONL at the same seed, and no silent
+    # event-engine fallback.
+    _, event_result, event_lines = event_samples[0]
+    assert event_lines
+    for _, result, lines in event_samples + fast_samples:
+        assert np.array_equal(result.convictions, event_result.convictions)
+        assert np.array_equal(
+            result.estimates_last, event_result.estimates_last
+        )
+        assert lines == event_lines, (
+            f"{protocol}: engines emitted different evidence ledgers"
+        )
+    for _, result, _ in fast_samples:
+        assert result.engines == ["fastpath"] * runs
+
+    event_seconds = statistics.median(sample[0] for sample in event_samples)
+    fast_seconds = statistics.median(sample[0] for sample in fast_samples)
     speedup = event_seconds / fast_seconds
     benchmark.extra_info["backend"] = "fastpath"
     benchmark.extra_info["protocol"] = protocol
     benchmark.extra_info["scale"] = runs
     benchmark.extra_info["horizon"] = horizon
     benchmark.extra_info["seed"] = 0
+    benchmark.extra_info["repeats"] = REPEATS
     benchmark.extra_info["event_seconds"] = round(event_seconds, 4)
     benchmark.extra_info["fastpath_seconds"] = round(fast_seconds, 4)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["equivalent"] = True
     assert speedup >= floor, (
         f"{protocol}: fastpath speedup {speedup:.1f}x below {floor:.0f}x "
-        f"floor (event {event_seconds:.2f}s, fastpath {fast_seconds:.2f}s)"
+        f"floor (median of {REPEATS}: event {event_seconds:.2f}s, "
+        f"fastpath {fast_seconds:.2f}s)"
     )
 
 

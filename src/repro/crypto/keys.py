@@ -22,6 +22,10 @@ from repro.exceptions import ConfigurationError, KeyError_
 #: Byte length of generated and derived keys.
 KEY_SIZE = 32
 
+#: Seed every simulated path's keys derive from. The wire engines share
+#: it, so the fastpath's PRF coins equal the event engine's.
+DEFAULT_KEY_SEED = b"repro-key-seed"
+
 
 def derive_key(master: bytes, role: str) -> bytes:
     """Derive a role-specific subkey from a pairwise master key.
@@ -49,7 +53,7 @@ class KeyManager:
         the derivation below stands in for it.
     """
 
-    def __init__(self, path_length: int, seed: bytes = b"repro-key-seed") -> None:
+    def __init__(self, path_length: int, seed: bytes = DEFAULT_KEY_SEED) -> None:
         if path_length <= 0:
             raise ConfigurationError("path length must be positive")
         self._path_length = path_length

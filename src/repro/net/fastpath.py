@@ -60,10 +60,20 @@ fixed — one transmission per link and pass, and fixed protocol counters.
 The replay asks every schedule how many surviving units lie ahead, skips
 the common number of clean rounds in one step, and walks only the rounds
 in between, link by link, taking their crossings and coins from the same
-schedules. PAAI-1's sampling coins and statfl's sketch coins are pure
-functions of the packet's sequence number, so they are evaluated a chunk
-of rounds at a time (:meth:`repro.crypto.prf.HotPRF.bernoulli_many` over
-:func:`repro.crypto.hashing.packet_identifiers`).
+schedules.
+
+PAAI-1's sampling coins and statfl's sketch coins are PRFs of the data
+packet's identifier, keyed from the fixed
+:data:`repro.crypto.keys.DEFAULT_KEY_SEED`: a coin depends on the keys,
+the round, the send interval and the probability, never on the run seed.
+So each process keeps a bounded :class:`CoinTable` per (key seed, PRF
+label, path length, interval, probability) — :data:`COIN_TABLES` tables,
+least recently used evicted, one byte per (row, round). The first run
+that needs rounds past a table's end evaluates only those, a
+:data:`COIN_CHUNK` at a time (:meth:`repro.crypto.prf.HotPRF.bernoulli_many`
+over :func:`repro.crypto.hashing.packet_identifiers`); every later run of
+every batch slices the table's read-only rows and PAAI-1's sampled-round
+indices. ``--jobs`` workers each build their own.
 
 Eligibility
 -----------
@@ -78,12 +88,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.crypto.hashing import packet_identifiers
-from repro.crypto.keys import KeyManager
+from repro.crypto.keys import DEFAULT_KEY_SEED, KeyManager
 from repro.crypto.prf import PRF, HotPRF
 from repro.net.backend import (
     BackendRunResult,
@@ -96,7 +107,12 @@ from repro.net.backend import (
 )
 from repro.net.rng import RngFactory
 from repro.obs.profile import phase as profile_phase
-from repro.obs.registry import CounterBatch, metrics_enabled
+from repro.obs.registry import (
+    NULL_REGISTRY,
+    CounterBatch,
+    metrics_enabled,
+    using_registry,
+)
 from repro.protocols.models import decision_thresholds
 
 #: Doubles drawn per vectorized refill of a :class:`DrawStream`.
@@ -105,11 +121,11 @@ BLOCK = 4096
 #: Rounds whose PRF coins are evaluated in one batch.
 COIN_CHUNK = 1024
 
+#: Coin tables kept per process; the least recently used is evicted.
+COIN_TABLES = 8
+
 #: ``fastpath_family`` tags with a ported round replay.
 PORTED_FAMILIES = ("onion-ack", "paai1", "statfl")
-
-#: Key seed all wire protocols are built with (``WireProtocol`` default).
-DEFAULT_KEY_SEED = b"repro-key-seed"
 
 _FORWARD = "forward"
 _REVERSE = "reverse"
@@ -230,6 +246,120 @@ class FailureSchedule:
 def stream_seed(root_seed: int, label: str) -> int:
     """Seed of ``RngFactory(root_seed).stream(label)``."""
     return RngFactory(root_seed).stream_seed(label)
+
+
+#: Per family: the coins' PRF label and the keys of its rows, in row order.
+_COIN_PRFS = {
+    # PAAI-1's SecureSampler: one source-only sampling key.
+    "paai1": ("paai1-secure-sampling", lambda keys: [keys.source_sampling_key]),
+    # statfl's sketch: row ``position - 1`` is node ``position``'s coin.
+    "statfl": (
+        "statfl-sketch",
+        lambda keys: [
+            keys.master_key(position)
+            for position in range(1, keys.path_length + 1)
+        ],
+    ),
+}
+
+
+class CoinTable:
+    """Every round's PRF coins for one family of PRFs, grown on demand.
+
+    Column ``i`` of row ``r`` is PRF ``r``'s coin on the identifier of the
+    data packet sent in round ``i`` (payload ``data-<i>``, timestamp
+    ``i * interval``). Nothing here depends on the run seed, so one table
+    serves every run of every batch with the same keys, interval and
+    probability. :meth:`upto` evaluates only the rounds past the table's
+    end, :data:`COIN_CHUNK` at a time, and returns read-only slices.
+
+    Memory: one byte per (row, round) — a statfl table over ``d`` nodes
+    and ``H`` rounds holds ``d * H`` bytes (48 KB at d=6, H=8,000) — plus
+    one Python int per set row-0 coin (225 sampled rounds for PAAI-1 at
+    d=6, H=8,000).
+    """
+
+    __slots__ = ("_prfs", "_probability", "_interval", "_state")
+
+    def __init__(
+        self, prfs: List[HotPRF], probability: float, interval: float
+    ) -> None:
+        self._prfs = prfs
+        self._probability = probability
+        self._interval = interval
+        empty = np.zeros((len(prfs), 0), dtype=bool)
+        empty.flags.writeable = False
+        # (rows, rounds whose row-0 coin is set), replaced as one value.
+        self._state: Tuple[np.ndarray, Tuple[int, ...]] = (empty, ())
+
+    def upto(self, horizon: int) -> Tuple[np.ndarray, Tuple[int, ...]]:
+        """The coins of rounds ``0 .. horizon - 1`` (one read-only row per
+        PRF) and, ascending, those rounds whose row-0 coin is set — PAAI-1's
+        sampled rounds."""
+        rows, hits = self._state
+        start = rows.shape[1]
+        if start < horizon:
+            parts = [rows]
+            # One pass per COIN_CHUNK rounds, not per round.
+            for begin in range(start, horizon, COIN_CHUNK):  # repro: allow(FP001)
+                sequences = range(begin, min(begin + COIN_CHUNK, horizon))
+                identifiers = packet_identifiers(
+                    [b"data-%016d" % sequence for sequence in sequences],
+                    [sequence * self._interval for sequence in sequences],
+                )
+                parts.append(
+                    np.array(
+                        [
+                            prf.bernoulli_many(identifiers, self._probability)
+                            for prf in self._prfs
+                        ],
+                        dtype=bool,
+                    )
+                )
+            rows = np.concatenate(parts, axis=1)
+            rows.flags.writeable = False
+            hits += tuple((np.flatnonzero(rows[0, start:]) + start).tolist())
+            self._state = (rows, hits)
+        return rows[:, :horizon], hits[: bisect_left(hits, horizon)]
+
+
+_coin_tables: "OrderedDict[tuple, CoinTable]" = OrderedDict()
+
+
+def coin_table(
+    family: str,
+    path_length: int,
+    interval: float,
+    probability: float,
+    key_seed: bytes = DEFAULT_KEY_SEED,
+) -> CoinTable:
+    """The process's :class:`CoinTable` for ``family``'s coins on a path
+    of ``path_length`` keyed from ``key_seed``.
+
+    At most :data:`COIN_TABLES` tables are kept, least recently used
+    evicted first; each holds its rounds at one byte per (row, round).
+    """
+    label, row_keys = _COIN_PRFS[family]
+    key = (key_seed, label, path_length, interval, probability)
+    table = _coin_tables.get(key)
+    if table is None:
+        # Whether a run finds its table built depends on what ran before
+        # in the process, so building one must not show in the metrics.
+        with using_registry(NULL_REGISTRY):
+            keys = KeyManager(path_length, seed=key_seed)
+            prfs = [PRF(row, label=label).hot() for row in row_keys(keys)]
+        table = CoinTable(prfs, probability, interval)
+        _coin_tables[key] = table
+        while len(_coin_tables) > COIN_TABLES:
+            _coin_tables.popitem(last=False)
+    else:
+        _coin_tables.move_to_end(key)
+    return table
+
+
+def clear_coin_tables() -> None:
+    """Forget every coin table (the next run evaluates its coins afresh)."""
+    _coin_tables.clear()
 
 
 def classify_reasons(request: DetectionRequest) -> List[str]:
@@ -371,7 +501,6 @@ class _RoundReplay:
             if rate > 0.0
         }
         self.schedules = self.links + list(self.adversaries.values())
-        keys = KeyManager(self.d, seed=DEFAULT_KEY_SEED)
         # Per-link transmission/loss tallies, one (tx, loss) vector pair
         # per traffic class the replay generates. Plain list increments
         # keep the per-crossing cost at two index operations; the vectors
@@ -396,27 +525,17 @@ class _RoundReplay:
         self.report_timeouts = 0
         self.sampling_hits = 0
         self.next_round = 0
-        # Per-round PRF coins of the current chunk of rounds: one row per
-        # PRF in ``coin_prfs``, one column per round from ``chunk_start``.
-        self.chunk_start = self.chunk_end = 0
-        self.coin_prfs: List[HotPRF] = []
-        self.coins = np.zeros((0, 0), dtype=bool)
+        # Per-round PRF coins, one column per round (see CoinTable).
         if family == "paai1":
-            # HotPRF clone of SecureSampler's PRF (bit-identical coins).
-            self.coin_prfs = [
-                PRF(keys.source_sampling_key, label="paai1-secure-sampling").hot()
-            ]
-            self.coin_probability = params.probe_frequency
-            self.sampled_rounds: List[int] = []
+            self.coins, self.sampled_rounds = coin_table(
+                family, self.d, self.interval, params.probe_frequency
+            ).upto(self.horizon)
         elif family == "statfl":
             self.fl_sampling = request.fl_sampling
             self.fl_interval = request.fl_interval
-            # Row ``position - 1``: the sketch coin of node ``position``.
-            self.coin_prfs = [
-                PRF(keys.master_key(position), label="statfl-sketch").hot()
-                for position in range(1, self.d + 1)
-            ]
-            self.coin_probability = request.fl_sampling
+            self.coins, _ = coin_table(
+                family, self.d, self.interval, request.fl_sampling
+            ).upto(self.horizon)
             self.sketch_counts = [0] * (self.d + 1)
             self.latest_counts: Dict[int, int] = {}
             self.latest_snapshot: Dict[int, int] = {}
@@ -439,37 +558,14 @@ class _RoundReplay:
         one step each, every other round walked."""
         index = self.next_round
         while index < until:
-            if index == self.chunk_end:
-                self._load_chunk(index)
-            stop = min(until, self.chunk_end)
-            clean = self._clean_rounds(min(stop, self._next_busy(index)) - index)
+            clean = self._clean_rounds(min(until, self._next_busy(index)) - index)
             if clean:
                 self._skip(index, clean)
                 index += clean
-            if index < stop:
+            if index < until:
                 self._walk_round(index)
                 index += 1
         self.next_round = index
-
-    def _load_chunk(self, start: int) -> None:
-        """Evaluate the per-round PRF coins of the next chunk of rounds."""
-        end = min(start + COIN_CHUNK, self.horizon)
-        self.chunk_start, self.chunk_end = start, end
-        if not self.coin_prfs:
-            return
-        sequences = range(start, end)
-        identifiers = packet_identifiers(
-            [b"data-%016d" % sequence for sequence in sequences],
-            [sequence * self.interval for sequence in sequences],
-        )
-        self.coins = np.array(
-            [
-                prf.bernoulli_many(identifiers, self.coin_probability)
-                for prf in self.coin_prfs
-            ]
-        )
-        if self.family == "paai1":
-            self.sampled_rounds = (np.flatnonzero(self.coins[0]) + start).tolist()
 
     def _next_busy(self, index: int) -> int:
         """First round at or after ``index`` that must be walked whatever
@@ -478,10 +574,10 @@ class _RoundReplay:
             at = bisect_left(self.sampled_rounds, index)
             if at < len(self.sampled_rounds):
                 return self.sampled_rounds[at]
-            return self.chunk_end
+            return self.horizon
         if self.family == "statfl":
             return index + (-(index + 1)) % self.fl_interval
-        return self.chunk_end
+        return self.horizon
 
     def _clean_rounds(self, limit: int) -> int:
         """How many of the next ``limit`` rounds every stream survives."""
@@ -506,8 +602,7 @@ class _RoundReplay:
             self.obs_rounds += rounds
         elif self.family == "statfl":
             self.board_rounds += rounds
-            column = index - self.chunk_start
-            sampled = self.coins[:, column : column + rounds].sum(axis=1)
+            sampled = self.coins[:, index : index + rounds].sum(axis=1)
             for position, count in enumerate(sampled.tolist(), start=1):
                 self.sketch_counts[position] += count
 
@@ -643,7 +738,7 @@ class _RoundReplay:
         reach = self._forward_walk(_DATA)
         delivered = reach == d
         if paai1:
-            if not self.coins[0, index - self.chunk_start]:
+            if not self.coins[0, index]:
                 return  # unmonitored packet: no probe, no observation
             self.sampling_hits += 1
             frontier = min(reach, d - 1)
@@ -675,9 +770,8 @@ class _RoundReplay:
         """One statfl data round, plus the interval report collection."""
         self.board_rounds += 1
         reach = self._forward_walk(_DATA)
-        column = index - self.chunk_start
         for position in range(1, reach + 1):
-            if self.coins[position - 1, column]:
+            if self.coins[position - 1, index]:
                 self.sketch_counts[position] += 1
         sent = index + 1
         if sent % self.fl_interval == 0:

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.identification import IdentificationResult, identify_links
 from repro.core.params import ProtocolParams
 from repro.core.scoring import ScoreBoard
-from repro.crypto.keys import KeyManager
+from repro.crypto.keys import DEFAULT_KEY_SEED, KeyManager
 from repro.exceptions import ConfigurationError
 from repro.net.node import Node
 from repro.net.packets import DataPacket, Direction, Packet, PacketKind
@@ -250,7 +250,7 @@ class WireProtocol:
         params: ProtocolParams,
         adversaries: Optional[Dict[int, object]] = None,
         natural_loss=None,
-        key_seed: bytes = b"repro-key-seed",
+        key_seed: bytes = DEFAULT_KEY_SEED,
         clock_skews: Optional[Sequence[float]] = None,
         path=None,
     ) -> None:

@@ -1,5 +1,5 @@
-"""Integration: fastpath ↔ event byte identity over long horizons, and
-the statfl request checks every engine shares.
+"""Integration: fastpath ↔ event byte identity over long horizons, the
+statfl request checks every engine shares, and the coin tables' silence.
 
 The property suite replays 40–80 rounds, which never crosses a
 4,096-draw block of a stream and never skips a long run of clean rounds.
@@ -9,6 +9,8 @@ one — and compare convictions, estimates, ledger JSONL and the scoped
 counters of both engines.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,13 @@ from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.mc.detection import DetectionExperiment
 from repro.net.backend import DetectionRequest, get_backend
+from repro.net.fastpath import clear_coin_tables
 from repro.obs.ledger import EvidenceLedger, using_ledger
-from repro.obs.registry import MetricsRegistry, using_registry
+from repro.obs.registry import (
+    MetricsRegistry,
+    deterministic_view,
+    using_registry,
+)
 from repro.workloads.scenarios import Scenario, paper_scenario
 
 #: Counter families that must match across engines (nonzero series).
@@ -115,3 +122,41 @@ class TestSketchParameterChecks:
                 "statfl", paper_scenario(), runs=1, horizon=200,
                 checkpoints=[200], seed=3, **bad,
             )
+
+
+def _batch(protocol, seed, jobs=1):
+    """A 4-run, 2-shard fastpath batch: convictions, estimates, ledger
+    JSONL and the metrics' deterministic view."""
+    registry = MetricsRegistry()
+    ledger = EvidenceLedger()
+    with using_registry(registry), using_ledger(ledger):
+        result = DetectionExperiment(
+            protocol, paper_scenario(), runs=4, horizon=2_500, seed=seed,
+            backend="fastpath", shards=2, fl_sampling=0.25, fl_interval=100,
+        ).run(jobs=jobs)
+    assert result.engines == ["fastpath"] * 4
+    return (
+        result.convictions.tobytes(),
+        result.estimates_last.tobytes(),
+        list(ledger.to_jsonl_lines()),
+        json.dumps(deterministic_view(registry.snapshot()), sort_keys=True),
+    )
+
+
+@pytest.mark.parametrize("protocol", ["paai1", "statfl"])
+def test_coin_tables_change_no_output(protocol):
+    """A batch's outputs do not depend on the coin tables it finds: a
+    cold-table run, a warm-table run at another seed, a re-run after
+    warming and a two-worker run under a warm parent all match the runs
+    of an empty table."""
+    clear_coin_tables()
+    cold = _batch(protocol, seed=5)
+    warm_other = _batch(protocol, seed=6)
+    clear_coin_tables()
+    cold_other = _batch(protocol, seed=6)
+    rerun = _batch(protocol, seed=5)
+    parallel = _batch(protocol, seed=5, jobs=2)
+    assert warm_other == cold_other
+    assert rerun == cold
+    assert parallel == cold
+    assert cold_other[2] != cold[2]  # the two seeds are distinct runs

@@ -1,15 +1,19 @@
 """Unit coverage for the fast-path building blocks: DrawStream's
 bit-identity with ``random.Random``, failure schedules against naive
 per-draw consumption, HotPRF's (and its batched coin's) identity with
-PRF, CounterBatch semantics, and the backend-seam plumbing."""
+PRF, the coin tables against per-round PRF coins, CounterBatch semantics,
+and the backend-seam plumbing."""
 
 import math
 import random
 
 import pytest
 
+from repro.crypto.hashing import packet_identifier
+from repro.crypto.keys import DEFAULT_KEY_SEED, KeyManager
 from repro.crypto.prf import PRF, HotPRF, fraction_threshold
 from repro.exceptions import ConfigurationError
+from repro.net import fastpath
 from repro.net.backend import (
     BACKEND_NAMES,
     DetectionRequest,
@@ -20,9 +24,13 @@ from repro.net.backend import (
 )
 from repro.net.fastpath import (
     BLOCK,
+    COIN_CHUNK,
+    COIN_TABLES,
     DrawStream,
     FailureSchedule,
     FastpathBackend,
+    clear_coin_tables,
+    coin_table,
     stream_seed,
 )
 from repro.net.rng import RngFactory
@@ -218,6 +226,130 @@ class TestBatchedCoin:
             hot.bernoulli_many([b"data"], 1.5)
         with pytest.raises(ValueError):
             hot.bernoulli(b"data", -0.1)
+
+
+def _reference_coins(family, path_length, interval, probability, rounds,
+                     key_seed=DEFAULT_KEY_SEED):
+    """Per-round coins the event engine's agents draw, one PRF call each."""
+    keys = KeyManager(path_length, seed=key_seed)
+    if family == "paai1":
+        prfs = [PRF(keys.source_sampling_key, label="paai1-secure-sampling")]
+    else:
+        prfs = [
+            PRF(keys.master_key(position), label="statfl-sketch")
+            for position in range(1, path_length + 1)
+        ]
+    identifiers = [
+        packet_identifier(b"data-%016d" % index, index * interval)
+        for index in range(rounds)
+    ]
+    return [
+        [prf.bernoulli(identifier, probability) for identifier in identifiers]
+        for prf in prfs
+    ]
+
+
+class TestCoinTable:
+    #: (family, path length, probability)
+    FAMILIES = [("paai1", 6, 1 / 36), ("statfl", 3, 0.25)]
+    INTERVAL = wire_send_interval(paper_scenario().params)
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        clear_coin_tables()
+        yield
+        clear_coin_tables()
+
+    def _check(self, family, path_length, interval, probability, rounds,
+               key_seed=DEFAULT_KEY_SEED):
+        rows, sampled = coin_table(
+            family, path_length, interval, probability, key_seed=key_seed
+        ).upto(rounds)
+        expected = _reference_coins(
+            family, path_length, interval, probability, rounds, key_seed
+        )
+        assert rows.shape == (len(expected), rounds)
+        assert rows.tolist() == expected
+        assert list(sampled) == [
+            index for index, coin in enumerate(expected[0]) if coin
+        ]
+        return rows
+
+    @pytest.mark.parametrize(
+        "family, path_length, probability",
+        FAMILIES,
+        ids=[family for family, _, _ in FAMILIES],
+    )
+    def test_rows_equal_per_round_prf(self, family, path_length, probability):
+        # Growth from a short horizon to longer ones, then a shorter one;
+        # none but the last is a multiple of COIN_CHUNK.
+        for rounds in (300, COIN_CHUNK + 1, 2 * COIN_CHUNK + 77, 700,
+                       2 * COIN_CHUNK):
+            self._check(
+                family, path_length, self.INTERVAL, probability, rounds
+            )
+        rows, sampled = coin_table(
+            family, path_length, self.INTERVAL, probability
+        ).upto(0)
+        assert rows.shape[1] == 0 and sampled == ()
+
+    @pytest.mark.parametrize(
+        "family, path_length, probability",
+        FAMILIES,
+        ids=[family for family, _, _ in FAMILIES],
+    )
+    def test_every_key_part_selects_its_own_table(
+        self, family, path_length, probability
+    ):
+        rounds = 400
+        base = self._check(
+            family, path_length, self.INTERVAL, probability, rounds
+        )
+        for interval, p, key_seed in [
+            (self.INTERVAL, 2 * probability, DEFAULT_KEY_SEED),
+            (2 * self.INTERVAL, probability, DEFAULT_KEY_SEED),
+            (self.INTERVAL, probability, b"another-key-seed"),
+        ]:
+            rows = self._check(
+                family, path_length, interval, p, rounds, key_seed
+            )
+            assert rows.tolist() != base.tolist()
+        # A longer path: statfl gains a row, PAAI-1 keeps its coins.
+        self._check(family, path_length + 1, self.INTERVAL, probability, rounds)
+        # The first table is still there, untouched.
+        assert coin_table(
+            family, path_length, self.INTERVAL, probability
+        ).upto(rounds)[0].tolist() == base.tolist()
+
+    def test_rows_are_read_only(self):
+        table = coin_table("statfl", 3, self.INTERVAL, 0.5)
+        short, _ = table.upto(100)
+        with pytest.raises(ValueError):
+            short[0, 0] = not short[0, 0]
+        long, sampled = table.upto(COIN_CHUNK + 5)
+        with pytest.raises(ValueError):
+            long[:, -1] = True
+        assert isinstance(sampled, tuple)
+        # A slice handed out before the table grew keeps its values.
+        assert short.tolist() == long[:, :100].tolist()
+
+    def test_least_recently_used_table_is_evicted(self):
+        def table(index):
+            return coin_table("paai1", 6, self.INTERVAL, 1 / (index + 2))
+
+        kept = {index: table(index) for index in (0, 1)}
+        for index in range(2, COIN_TABLES + 1):
+            assert table(0) is kept[0]  # keeps table 0 recently used
+            kept[index] = table(index)
+        # COIN_TABLES + 1 tables were built; table 1, never touched again,
+        # was the one evicted.
+        assert len(fastpath._coin_tables) == COIN_TABLES
+        assert table(0) is kept[0]
+        assert table(1) is not kept[1]  # built afresh, evicting table 2
+        for index in range(3, COIN_TABLES + 1):
+            assert table(index) is kept[index]
+        assert table(2) is not kept[2]
+        assert len(fastpath._coin_tables) == COIN_TABLES
 
 
 class TestCounterBatch:
