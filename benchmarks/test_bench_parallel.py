@@ -6,16 +6,26 @@ session hook splits these records into ``BENCH_parallel.json`` together
 with the host's CPU count and the measured speedup of each parallel
 configuration against its serial baseline (speedup is only meaningful on
 a multi-core host; the JSON records ``cpu_count`` so readers can judge).
+Each record's ``jobs`` is the effective worker count and
+``requested_jobs`` the request: on a host with fewer cores than asked
+for, the runner falls back to a serial run, which is recorded as such.
 
 Scales default to ``quick``; set ``BENCH_PARALLEL_SCALES`` (comma-
 separated, e.g. ``"smoke,quick"``) to benchmark others.
 """
 
+import contextlib
 import os
 
 import pytest
 
-from repro.experiments.runner import SCALES, build_specs, run_all
+from repro.experiments.runner import (
+    SCALES,
+    OversubscriptionWarning,
+    build_specs,
+    resolve_jobs,
+    run_all,
+)
 
 JOBS = (1, 2, 4)
 BENCH_SCALES = [
@@ -30,18 +40,28 @@ SEED = 0
 @pytest.mark.parametrize("jobs", JOBS)
 def test_bench_report_parallel(benchmark, scale, jobs):
     assert scale in SCALES, f"unknown scale {scale!r}"
-    report = benchmark.pedantic(
-        run_all,
-        kwargs={"scale": scale, "seed": SEED, "jobs": jobs},
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["jobs"] = jobs
+    # A request above the core count warns and runs serially (the
+    # runner's contract); the record then carries jobs=1, not a speedup.
+    oversubscribed = jobs > (os.cpu_count() or 1)
+    with (
+        pytest.warns(OversubscriptionWarning)
+        if oversubscribed else contextlib.nullcontext()
+    ):
+        report = benchmark.pedantic(
+            run_all,
+            kwargs={"scale": scale, "seed": SEED, "jobs": jobs},
+            rounds=1,
+            iterations=1,
+        )
+        effective = resolve_jobs(jobs)
+    benchmark.extra_info["jobs"] = report.jobs
+    benchmark.extra_info["requested_jobs"] = jobs
     benchmark.extra_info["scale"] = scale
     benchmark.extra_info["seed"] = SEED
     benchmark.extra_info["experiments"] = len(report.records)
+    assert report.requested_jobs == jobs
+    assert report.jobs == effective
     # The report itself must be jobs-independent (names in spec order).
-    assert report.jobs == jobs
     assert [r.name for r in report.records] == [
         spec.name for spec in build_specs(scale, SEED)
     ]

@@ -14,7 +14,6 @@ Usage::
     python -m repro.cli netexp --topology fat-tree --size 4 --paths 8
     python -m repro.cli obs summary --metrics m.json --trace t.jsonl
     python -m repro.cli explain --ledger ledger.jsonl [--run N]
-    python -m repro.cli bench trend [--check|--strict]
 
 Every command prints a plain-text table; ``--json`` dumps the structured
 result instead.
@@ -496,53 +495,6 @@ def _cmd_explain(args) -> None:
     print(render_explanation(entries, run=run))
 
 
-def _cmd_bench(args) -> None:
-    from repro.obs.trend import (
-        DEFAULT_BENCH_FILES,
-        build_baseline,
-        compare_to_baseline,
-        load_baseline,
-    )
-
-    if args.bench_command != "trend":  # pragma: no cover - argparse gate
-        raise SystemExit(2)
-    paths = args.bench or list(DEFAULT_BENCH_FILES)
-    if args.update_baseline:
-        payload = build_baseline(paths, cpu_count=os.cpu_count())
-        with open(args.baseline, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(
-            f"baseline written to {args.baseline} "
-            f"({len(payload['benchmarks'])} benchmarks)"
-        )
-        return
-    if not os.path.exists(args.baseline):
-        print(
-            f"bench trend: no baseline at {args.baseline} "
-            "(create one with --update-baseline)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    baseline = load_baseline(args.baseline)
-    report = compare_to_baseline(baseline, paths, threshold=args.threshold)
-    print(report.render())
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"delta report written to {args.json_out}", file=sys.stderr)
-    if not report.ok:
-        if args.strict:
-            raise SystemExit(1)
-        if args.check:
-            print(
-                f"bench-trend: {len(report.regressions)} regression(s) "
-                "beyond threshold (warn-only; use --strict to gate)",
-                file=sys.stderr,
-            )
-
-
 def _cmd_audit(args) -> None:
     from repro.audit.cli import run_audit
 
@@ -789,35 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="render run N's full causal chain (default: list "
                         "every run's verdict)")
     p.set_defaults(func=_cmd_explain)
-
-    p = sub.add_parser("bench", help="benchmark telemetry tools")
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    pt = bench_sub.add_parser(
-        "trend",
-        help="compare BENCH_*.json telemetry against bench-baseline.json",
-    )
-    pt.add_argument("--baseline", type=str, default="bench-baseline.json",
-                    metavar="FILE",
-                    help="committed baseline (default: bench-baseline.json)")
-    pt.add_argument("--bench", action="append", default=None, metavar="FILE",
-                    help="telemetry file to ingest (repeatable; default: "
-                         "the three BENCH_*.json files)")
-    pt.add_argument("--threshold", type=float, default=0.25,
-                    help="relative slowdown that counts as a regression "
-                         "(default 0.25 = 25%%)")
-    pt.add_argument("--check", action="store_true",
-                    help="CI mode: report regressions as warnings, exit 0")
-    pt.add_argument("--strict", action="store_true",
-                    help="exit 1 when any benchmark regressed beyond the "
-                         "threshold")
-    pt.add_argument("--json-out", type=str, default=None, dest="json_out",
-                    metavar="FILE",
-                    help="write the machine-readable delta report (JSON)")
-    pt.add_argument("--update-baseline", action="store_true",
-                    dest="update_baseline",
-                    help="rewrite the baseline from the current BENCH files "
-                         "instead of comparing")
-    pt.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("obs", help="observability artifact tools")
     obs_sub = p.add_subparsers(dest="obs_command", required=True)

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Set
 
+from repro.analysis.hoeffding import hoeffding_deviation
 from repro.exceptions import ConfigurationError
 from repro.obs.ledger import get_ledger
 
@@ -63,14 +64,13 @@ def hoeffding_half_width(rounds: int, sigma: float, links: int = 1) -> float:
     """Two-sided Hoeffding interval half-width for a mean of ``rounds``
     bounded observations at family-wise confidence ``1 - sigma`` across
     ``links`` simultaneous estimates (Bonferroni union bound)."""
-    if rounds <= 0:
-        return float("inf")
     if not 0.0 < sigma < 1.0:
         raise ConfigurationError("sigma must be in (0, 1)")
     if links <= 0:
         raise ConfigurationError("links must be positive")
-    effective = sigma / links
-    return math.sqrt(math.log(2.0 / effective) / (2.0 * rounds))
+    if rounds <= 0:
+        return float("inf")
+    return hoeffding_deviation(rounds, sigma / links)
 
 
 def confident_identify(

@@ -24,11 +24,11 @@ report byte for byte.
 
 from __future__ import annotations
 
-import math
 import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.hoeffding import hoeffding_failure_probability
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultSpec, install_faults, preset
@@ -85,7 +85,7 @@ def section7_bound(rounds: int, epsilon: float, links: int = 1) -> float:
         raise ConfigurationError("links must be positive")
     if rounds <= 0:
         return 1.0
-    per_link = 2.0 * math.exp(-2.0 * rounds * (epsilon / 2.0) ** 2)
+    per_link = hoeffding_failure_probability(rounds, epsilon / 2.0)
     return min(1.0, links * per_link)
 
 

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.hoeffding import hoeffding_confidence
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.mc.detection import model_trajectory, resolve_checkpoints
@@ -54,7 +55,6 @@ from repro.protocols import models
 from repro.topology.fusion import (
     FusionResult,
     RouteEvidence,
-    _hoeffding_confidence,
     fuse_route_evidence,
 )
 from repro.topology.graph import Route, Topology
@@ -103,7 +103,7 @@ class RouteOutcome:
         for index in range(self.estimates.shape[0]):
             margin = float(self.estimates[index, hop]) - threshold
             rounds = int(self.rounds[index])
-            if margin > 0.0 and _hoeffding_confidence(
+            if margin > 0.0 and hoeffding_confidence(
                 rounds, margin
             ) >= 1.0 - sigma:
                 return index

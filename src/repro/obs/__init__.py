@@ -21,9 +21,6 @@ file when on. The first four are active together as one
 * :mod:`repro.obs.profile` — the **phase profiler**: deterministic-safe
   monotonic phase timers (setup / wire-replay / scoring / conviction)
   exported through the registry snapshot. Off by default.
-* :mod:`repro.obs.trend` — the **bench-trend observatory** behind
-  ``repro-aai bench trend``: per-benchmark deltas of the BENCH_*.json
-  telemetry against a committed ``bench-baseline.json``.
 * :mod:`repro.obs.summary` / :mod:`repro.obs.capture` — loaders and
   renderers behind the CLI's ``--metrics-out`` / ``--trace-out`` flags
   and the ``repro obs summary`` subcommand.

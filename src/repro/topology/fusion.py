@@ -38,10 +38,10 @@ Every fusion decision is recorded through the evidence ledger as a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.hoeffding import hoeffding_confidence
 from repro.exceptions import ConfigurationError
 from repro.obs.ledger import get_ledger
 
@@ -153,13 +153,6 @@ class FusionResult:
         }
 
 
-def _hoeffding_confidence(rounds: float, margin: float) -> float:
-    """``1 - exp(-2 N margin^2)``, clamped to [0, 1)."""
-    if rounds <= 0:
-        return 0.0
-    return max(0.0, 1.0 - math.exp(-2.0 * rounds * margin * margin))
-
-
 def fuse_route_evidence(
     evidence: Sequence[RouteEvidence],
     sigma: float,
@@ -194,7 +187,7 @@ def fuse_route_evidence(
             )
         else:
             margin = 0.0
-        confidence = _hoeffding_confidence(rounds, margin)
+        confidence = hoeffding_confidence(rounds, margin)
         if margin > 0:
             posterior_bad, posterior_good = confidence, 0.0
             verdict = (

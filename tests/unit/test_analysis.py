@@ -3,6 +3,8 @@ tau1 ~= 1500, tau2 ~= 5e4, tau3 ~= 6e5, statFL ~= 2e7 (§7.2), and the
 Table 2 bound column (0.25 / 9 / 100 / 3333 minutes at 100 pkt/s; 12 /
 3.2 / 12 / <1 packets of storage)."""
 
+import math
+
 import pytest
 
 from repro.analysis.bounds import (
@@ -22,9 +24,11 @@ from repro.analysis.detection import (
     tau3_paai2,
 )
 from repro.analysis.hoeffding import (
+    hoeffding_confidence,
     hoeffding_deviation,
     hoeffding_failure_probability,
     hoeffding_sample_size,
+    hoeffding_tail,
 )
 from repro.analysis.overhead import (
     communication_overhead,
@@ -46,6 +50,30 @@ class TestHoeffding:
         early = hoeffding_failure_probability(100, 0.01)
         late = hoeffding_failure_probability(100_000, 0.01)
         assert late < early
+
+    def test_tail_keeps_left_to_right_float_order(self):
+        # (-2 n t) t and (-2 n) t**2 round differently here; the fusion
+        # verdicts and the netexp ledger are pinned to the former.
+        samples, accuracy = 233, 0.17866340851152704
+        assert hoeffding_tail(samples, accuracy) == math.exp(
+            -2.0 * samples * accuracy * accuracy
+        )
+        assert hoeffding_tail(samples, accuracy) != math.exp(
+            -2.0 * samples * accuracy ** 2
+        )
+
+    def test_failure_probability_is_twice_the_tail(self):
+        assert hoeffding_failure_probability(500, 0.05) == (
+            2.0 * hoeffding_tail(500, 0.05)
+        )
+
+    def test_confidence_is_symmetric_in_the_margin(self):
+        assert hoeffding_confidence(0, 0.3) == 0.0
+        assert hoeffding_confidence(50, 0.2) == hoeffding_confidence(50, -0.2)
+        assert hoeffding_confidence(50, 0.2) == pytest.approx(
+            1.0 - math.exp(-2.0 * 50 * 0.2 ** 2)
+        )
+        assert hoeffding_confidence(50, 0.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

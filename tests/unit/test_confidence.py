@@ -30,6 +30,12 @@ class TestHalfWidth:
         with pytest.raises(ConfigurationError):
             hoeffding_half_width(100, 0.03, links=0)
 
+    def test_validation_precedes_the_no_rounds_shortcut(self):
+        with pytest.raises(ConfigurationError):
+            hoeffding_half_width(0, 5.0)
+        with pytest.raises(ConfigurationError):
+            hoeffding_half_width(0, 0.03, links=0)
+
 
 class TestConfidentIdentify:
     def test_everything_undecided_early(self):
@@ -75,6 +81,14 @@ class TestConfidentIdentify:
         with pytest.raises(ConfigurationError):
             confident_identify([0.1, 0.2], thresholds=0.1, samples=[10],
                                sigma=0.03)
+
+    def test_sigma_checked_before_any_sample(self):
+        # With samples [10, 10] this call raises; without samples it
+        # must not quietly return every link undecided instead.
+        with pytest.raises(ConfigurationError):
+            confident_identify([0.5, 0.0], [0.1, 0.1], [10, 10], sigma=5.0)
+        with pytest.raises(ConfigurationError):
+            confident_identify([0.5, 0.0], [0.1, 0.1], [0, 0], sigma=5.0)
 
     def test_each_interval_sized_by_its_own_samples(self):
         # Same estimate, different evidence: only the well-sampled link
