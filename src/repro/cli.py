@@ -58,6 +58,7 @@ from repro.experiments.figure3 import run_figure3_panel
 from repro.experiments.report import render_table
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
+from repro.net.backend import BACKEND_NAMES
 from repro.obs.ledger import EvidenceLedger
 from repro.obs.profile import PhaseProfiler
 from repro.obs.registry import MetricsRegistry, using_registry
@@ -546,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the Monte-Carlo shards "
                         "(0 = all cores; output is identical for any value)")
-    p.add_argument("--backend", choices=["model", "fastpath", "event"],
+    p.add_argument("--backend", choices=BACKEND_NAMES,
                    default="model",
                    help="detection-average engine: closed-form models "
                         "(default), vectorized wire replay, or full "
@@ -564,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the Monte-Carlo shards "
                         "(0 = all cores; output is identical for any value)")
-    p.add_argument("--backend", choices=["model", "fastpath", "event"],
+    p.add_argument("--backend", choices=BACKEND_NAMES,
                    default="model",
                    help="execution engine: closed-form models (default), "
                         "vectorized wire replay, or full event simulation "

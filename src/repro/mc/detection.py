@@ -13,19 +13,24 @@ runs are simulated by binomial thinning of per-node arrival counts plus
 binomial counter sampling — again exact with respect to the wire
 semantics, up to report-collection staleness of at most one interval.
 
+This engine is :class:`ModelBackend`, the ``model`` entry of the
+backend seam (:mod:`repro.net.backend`); :class:`DetectionExperiment`
+drives it and the two wire engines alike.
+
 Run batches **shard**: the runs split into contiguous chunks of at most
-:data:`DEFAULT_SHARD_RUNS`, each chunk seeded independently from the root
-seed via :func:`repro.parallel.shard_seed`, and the chunk results are
-concatenated in shard order. The decomposition depends only on
-``(runs, shards)`` — never on worker count — so ``run(jobs=N)`` produces
-byte-identical output for every ``N``, and a sharded batch can fan out
-over a process pool for free.
+:data:`DEFAULT_SHARD_RUNS`, the backend's :meth:`~ModelBackend.split`
+gives each chunk its request (model chunks are seeded independently
+from the root seed via :func:`repro.parallel.shard_seed`), and the chunk
+results are concatenated in shard order. The decomposition depends only
+on ``(runs, shards)`` — never on worker count — so ``run(jobs=N)``
+produces byte-identical output for every ``N``, and a sharded batch can
+fan out over a process pool for free.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,12 +38,17 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.metrics.confusion import FpFnCurve, curve_from_convictions
 from repro.metrics.convergence import first_exact_round
-from repro.net.backend import BACKEND_NAMES, DetectionRequest, get_backend
+from repro.net.backend import (
+    BackendRunResult,
+    DetectionRequest,
+    SimulationBackend,
+    check_checkpoints,
+    get_backend,
+)
 from repro.obs.ledger import get_ledger
 from repro.obs.profile import phase as profile_phase
 from repro.parallel.engine import run_tasks, shard_seed, shard_sizes
 from repro.protocols import models
-from repro.protocols.statfl import check_sketch_parameters
 from repro.workloads.scenarios import Scenario
 
 #: Target runs per shard: small enough that full-scale batches decompose
@@ -77,58 +87,164 @@ def resolve_checkpoints(
     configuration error, as it is for ``DetectionRequest``."""
     if checkpoints is None:
         return default_checkpoints(horizon)
-    resolved = list(checkpoints)
-    if not resolved:
-        raise ConfigurationError("checkpoints must not be empty")
-    if sorted(resolved) != resolved:
-        raise ConfigurationError("checkpoints must be ascending")
-    if resolved[0] <= 0:
-        raise ConfigurationError("checkpoints must be positive")
-    if resolved[-1] > horizon:
-        raise ConfigurationError("checkpoints exceed horizon")
-    return resolved
+    return check_checkpoints(horizon, checkpoints)
 
 
-def model_trajectory(
-    model: models.OutcomeModel,
-    rng: np.random.Generator,
-    checkpoints: Sequence[int],
-    runs: int,
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Score ``runs`` independent runs of ``model`` up to each checkpoint.
+class ModelBackend(SimulationBackend):
+    """Closed-form engine: the per-round outcome models, vectorized over
+    all runs of a request with one numpy generator."""
 
-    Yields ``(estimates (runs, d), rounds (runs,))`` per checkpoint.
-    Each inter-checkpoint block draws one multinomial over the outcome
-    categories per run; sampled protocols first thin the block's packets
-    to observation rounds with a binomial (a run that draws no rounds
-    in a block consumes no multinomial draws).
-    """
-    d = model.path_length
-    pvals = model.probabilities
-    score_matrix = model.score_matrix()  # (d+1, d)
-    scores = np.zeros((runs, d), dtype=np.int64)
-    rounds = np.zeros(runs, dtype=np.int64)
-    previous = 0
-    for checkpoint in checkpoints:
-        block = checkpoint - previous
-        previous = checkpoint
-        if block > 0:
-            if model.rounds_per_packet >= 1.0:
-                # A scalar trial count is several times cheaper per call
-                # than an array of equal counts, with the same draws.
-                counts = rng.multinomial(block, pvals, size=runs)
-                rounds = rounds + block
+    name = "model"
+
+    def split(
+        self, request: DetectionRequest, sizes: Sequence[int]
+    ) -> List[DetectionRequest]:
+        """One shard draws from the root seed; more draw from seeds
+        derived per shard index (``label="mc-shard"``). A fault schedule
+        is a configuration error: the models cannot express one."""
+        if request.faults is not None:
+            raise ConfigurationError(
+                "fault schedules require a wire backend "
+                "(backend='fastpath' or 'event')"
+            )
+        if len(sizes) == 1:
+            return [request]
+        return [
+            replace(part, seed=shard_seed(request.seed, index, label="mc-shard"))
+            for index, part in enumerate(super().split(request, sizes))
+        ]
+
+    def run(self, request: DetectionRequest) -> BackendRunResult:
+        with profile_phase("scoring"):
+            if request.protocol == "statfl":
+                convictions, estimates = self._run_statfl(request)
             else:
-                block_rounds = rng.binomial(
-                    block, model.rounds_per_packet, size=runs
-                )
-                counts = rng.multinomial(block_rounds, pvals)
-                rounds = rounds + block_rounds
-            scores += (counts @ score_matrix).astype(np.int64)
-        estimates = DetectionExperiment._estimates(
-            scores, rounds, model.kind, d
+                convictions, estimates = self._run_modelled(request)
+        return BackendRunResult(
+            convictions=convictions,
+            estimates_last=estimates,
+            engines=[self.name] * request.runs,
         )
-        yield estimates, rounds
+
+    @staticmethod
+    def trajectory(
+        model: models.OutcomeModel,
+        rng: np.random.Generator,
+        checkpoints: Sequence[int],
+        runs: int,
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Score ``runs`` independent runs of ``model`` up to each checkpoint.
+
+        Yields ``(estimates (runs, d), rounds (runs,))`` per checkpoint.
+        Each inter-checkpoint block draws one multinomial over the outcome
+        categories per run; sampled protocols first thin the block's packets
+        to observation rounds with a binomial (a run that draws no rounds
+        in a block consumes no multinomial draws).
+        """
+        d = model.path_length
+        pvals = model.probabilities
+        score_matrix = model.score_matrix()  # (d+1, d)
+        scores = np.zeros((runs, d), dtype=np.int64)
+        rounds = np.zeros(runs, dtype=np.int64)
+        previous = 0
+        for checkpoint in checkpoints:
+            block = checkpoint - previous
+            previous = checkpoint
+            if block > 0:
+                if model.rounds_per_packet >= 1.0:
+                    # A scalar trial count is several times cheaper per call
+                    # than an array of equal counts, with the same draws.
+                    counts = rng.multinomial(block, pvals, size=runs)
+                    rounds = rounds + block
+                else:
+                    block_rounds = rng.binomial(
+                        block, model.rounds_per_packet, size=runs
+                    )
+                    counts = rng.multinomial(block_rounds, pvals)
+                    rounds = rounds + block_rounds
+                scores += (counts @ score_matrix).astype(np.int64)
+            estimates = ModelBackend._estimates(scores, rounds, model.kind, d)
+            yield estimates, rounds
+
+    @staticmethod
+    def _run_modelled(request: DetectionRequest):
+        scenario = request.scenario
+        params = scenario.params
+        f, b_ack, b_report = scenario.model_rates()
+        model = models.build_model(request.protocol, f, b_ack, b_report, params)
+        thresholds = np.asarray(
+            models.decision_thresholds(request.protocol, params)
+        )
+        convictions = np.zeros(
+            (len(request.checkpoints), request.runs, params.path_length),
+            dtype=bool,
+        )
+        trajectory = ModelBackend.trajectory(
+            model,
+            np.random.default_rng(request.seed),
+            request.checkpoints,
+            request.runs,
+        )
+        for index, (estimates, _) in enumerate(trajectory):
+            convictions[index] = estimates > thresholds[None, :]
+        return convictions, estimates
+
+    @staticmethod
+    def _estimates(scores, rounds, kind, d):
+        safe_rounds = np.maximum(rounds, 1)[:, None].astype(float)
+        if kind == models.KIND_BLAME:
+            return scores / safe_rounds
+        # Interval scoring: cumulative difference estimator, vectorized.
+        padded = np.concatenate(
+            [scores, np.zeros((scores.shape[0], 1), dtype=scores.dtype)], axis=1
+        )
+        cumulative = d * (padded[:, :-1] - padded[:, 1:]) / safe_rounds
+        shifted = np.concatenate(
+            [np.zeros((scores.shape[0], 1)), cumulative[:, :-1]], axis=1
+        )
+        return np.maximum(0.0, cumulative - shifted)
+
+    # -- statistical FL -----------------------------------------------------------
+
+    @staticmethod
+    def _run_statfl(request: DetectionRequest):
+        scenario = request.scenario
+        params = scenario.params
+        d = params.path_length
+        runs = request.runs
+        sampling = request.fl_sampling
+        rng = np.random.default_rng(request.seed)
+        forward = np.asarray(scenario.forward_link_rates())
+        thresholds = np.asarray(models.decision_thresholds("statfl", params))
+        # Cumulative arrivals per node 0..d and sampled-counter values.
+        arrivals = np.zeros((runs, d + 1), dtype=np.int64)
+        counters = np.zeros((runs, d), dtype=np.int64)  # nodes 1..d
+        convictions = np.zeros((len(request.checkpoints), runs, d), dtype=bool)
+        estimates = np.zeros((runs, d))
+
+        previous = 0
+        for index, checkpoint in enumerate(request.checkpoints):
+            block = checkpoint - previous
+            previous = checkpoint
+            if block > 0:
+                new_arrivals = np.full(runs, block, dtype=np.int64)
+                arrivals[:, 0] += new_arrivals
+                for link in range(d):
+                    new_arrivals = rng.binomial(new_arrivals, 1.0 - forward[link])
+                    arrivals[:, link + 1] += new_arrivals
+                    counters[:, link] += rng.binomial(
+                        new_arrivals, 0.0 + sampling
+                    )
+            # Survival fractions: node 0 exact, nodes 1..d from counters.
+            sent = np.maximum(arrivals[:, 0], 1).astype(float)
+            fractions = np.concatenate(
+                [np.ones((runs, 1)), counters / (sampling * sent[:, None])],
+                axis=1,
+            )
+            upstream = np.maximum(fractions[:, :-1], 1e-12)
+            estimates = np.maximum(0.0, 1.0 - fractions[:, 1:] / upstream)
+            convictions[index] = estimates > thresholds[None, :]
+        return convictions, estimates
 
 
 @dataclass
@@ -152,12 +268,12 @@ class DetectionResult:
     convictions: np.ndarray
     estimates_last: np.ndarray
     malicious_links: List[int] = field(default_factory=list)
-    #: Execution backend the experiment selected ("model", "fastpath",
-    #: or "event").
-    backend: str = "model"
+    #: Execution backend the experiment selected (model, fastpath or
+    #: event).
+    backend: str = ModelBackend.name
     #: Engine that actually produced each run. Wire backends may fall
     #: back per request (e.g. fastpath routes fault schedules to the
-    #: event engine), so this is the audit trail; empty for "model".
+    #: event engine), so this is the audit trail.
     engines: List[str] = field(default_factory=list)
     #: Why runs fell back to the event engine (empty when none did).
     reasons: List[str] = field(default_factory=list)
@@ -214,14 +330,15 @@ class DetectionExperiment:
     fl_sampling / fl_interval:
         Statistical FL parameters (ignored for other protocols).
     shards:
-        Number of independently seeded run chunks; ``None`` (default)
-        resolves via :func:`resolve_shards`. A single shard reproduces
-        the historical single-generator behavior exactly.
+        Number of run chunks; ``None`` (default) resolves via
+        :func:`resolve_shards`. The backend's ``split`` decides how each
+        chunk is seeded.
     backend:
-        Execution engine: ``"model"`` (closed-form outcome models, the
-        historical default, byte-identical to before the seam existed),
-        ``"fastpath"`` (vectorized wire replay with automatic event
-        fallback), or ``"event"`` (full discrete-event simulation).
+        Execution engine, resolved by :func:`~repro.net.backend.get_backend`:
+        ``model`` (closed-form outcome models, :class:`ModelBackend`,
+        the default), ``fastpath`` (vectorized wire replay with
+        automatic event fallback), or ``event`` (full discrete-event
+        simulation).
     faults:
         Optional fault schedule, only supported by the wire backends
         (the closed-form models cannot express fault injection).
@@ -241,262 +358,89 @@ class DetectionExperiment:
         backend: str = "model",
         faults=None,
     ) -> None:
-        if runs <= 0:
-            raise ConfigurationError("runs must be positive")
-        if backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
-            )
-        if faults is not None and backend == "model":
-            raise ConfigurationError(
-                "fault schedules require a wire backend "
-                "(backend='fastpath' or 'event')"
-            )
-        self.protocol = protocol
-        self.scenario = scenario
-        self.runs = runs
-        self.horizon = horizon
-        self.checkpoints = resolve_checkpoints(horizon, checkpoints)
-        check_sketch_parameters(fl_sampling, fl_interval)
-        self.seed = seed
-        self.fl_sampling = fl_sampling
-        self.fl_interval = fl_interval
+        self.request = DetectionRequest(
+            protocol=protocol,
+            scenario=scenario,
+            runs=runs,
+            horizon=horizon,
+            checkpoints=(
+                default_checkpoints(horizon) if checkpoints is None
+                else checkpoints
+            ),
+            seed=seed,
+            fl_sampling=fl_sampling,
+            fl_interval=fl_interval,
+            faults=faults,
+        )
         self.backend = backend
-        self.faults = faults
         self.shards = resolve_shards(runs, shards)
+        self._parts = get_backend(backend).split(
+            self.request, shard_sizes(runs, self.shards)
+        )
+
+    @property
+    def checkpoints(self) -> List[int]:
+        return self.request.checkpoints
 
     # -- public API ----------------------------------------------------------
 
     def run(self, jobs: int = 1) -> DetectionResult:
         """Execute the batch; ``jobs`` workers process shards concurrently.
 
-        The result is identical for every ``jobs`` value: shards are
-        seeded from the root seed by shard index (model backend) or
-        partitioned by absolute run offset (wire backends) and
+        The result is identical for every ``jobs`` value: the backend's
+        ``split`` fixes each shard's request, and shard results are
         concatenated in shard order, so parallelism only changes
         wall-clock time.
         """
-        engines: List[str] = []
-        reasons: List[str] = []
-        if self.shards == 1:
-            if self.backend == "model":
-                with profile_phase("scoring"):
-                    convictions, estimates = self._run_arrays()
-            else:
-                convictions, estimates, engines, reasons = self._run_wire(
-                    self.runs, run_offset=0
-                )
+        request = self.request
+        if len(self._parts) == 1:
+            parts = [get_backend(self.backend).run(self._parts[0])]
         else:
-            sizes = shard_sizes(self.runs, self.shards)
-            offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-            payloads = [
-                (
-                    self.protocol,
-                    self.scenario,
-                    size,
-                    self.horizon,
-                    self.checkpoints,
-                    # Model shards draw from independently derived seeds;
-                    # wire shards share the root seed and partition the
-                    # absolute run-index space instead, so every shard
-                    # decomposition is byte-identical to shards=1.
-                    self.seed
-                    if self.backend != "model"
-                    else shard_seed(self.seed, index, label="mc-shard"),
-                    self.fl_sampling,
-                    self.fl_interval,
-                    self.backend,
-                    self.faults,
-                    int(offset),
-                )
-                for index, (size, offset) in enumerate(zip(sizes, offsets))
-            ]
-            parts = run_tasks(_run_detection_shard, payloads, jobs=jobs)
-            convictions = np.concatenate([part[0] for part in parts], axis=1)
-            estimates = np.concatenate([part[1] for part in parts], axis=0)
-            engines = [engine for part in parts for engine in part[2]]
-            reasons = sorted({reason for part in parts for reason in part[3]})
+            parts = run_tasks(
+                _run_detection_shard,
+                [(self.backend, part) for part in self._parts],
+                jobs=jobs,
+            )
+        convictions = np.concatenate([part.convictions for part in parts], axis=1)
+        estimates = np.concatenate([part.estimates_last for part in parts], axis=0)
+        engines = [engine for part in parts for engine in part.engines]
+        reasons = sorted({reason for part in parts for reason in part.reasons})
+        malicious_links = request.scenario.malicious_links
         with profile_phase("conviction"):
             curve = curve_from_convictions(
-                self.checkpoints, convictions, self.scenario.malicious_links
+                request.checkpoints, convictions, malicious_links
             )
         ledger = get_ledger()
         if ledger.enabled:
             ledger.record(
                 "experiment",
-                protocol=self.protocol,
-                runs=self.runs,
-                horizon=self.horizon,
-                seed=self.seed,
+                protocol=request.protocol,
+                runs=request.runs,
+                horizon=request.horizon,
+                seed=request.seed,
                 shards=self.shards,
                 backend=self.backend,
-                malicious_links=self.scenario.malicious_links,
+                malicious_links=malicious_links,
                 final_false_positive=float(curve.fp_rates[-1]),
                 final_false_negative=float(curve.fn_rates[-1]),
                 engine_fallbacks=reasons,
             )
         return DetectionResult(
-            protocol=self.protocol,
-            checkpoints=self.checkpoints,
+            protocol=request.protocol,
+            checkpoints=request.checkpoints,
             curve=curve,
             convictions=convictions,
             estimates_last=estimates,
-            malicious_links=self.scenario.malicious_links,
+            malicious_links=malicious_links,
             backend=self.backend,
             engines=engines,
             reasons=reasons,
         )
 
-    def _run_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """One generator, all runs: ``(convictions, estimates_last)``."""
-        if self.protocol == "statfl":
-            return self._run_statfl()
-        return self._run_modelled()
 
-    # -- wire backends ---------------------------------------------------------
+def _run_detection_shard(payload) -> BackendRunResult:
+    """Run one ``(backend name, request)`` shard, possibly in a worker.
 
-    def _run_wire(self, runs: int, run_offset: int):
-        """Delegate ``runs`` wire runs to the selected backend.
-
-        Returns ``(convictions, estimates_last, engines, reasons)``. Run
-        seeds derive from ``(seed, run_offset + i)``, so shards that
-        partition the offset space reproduce the unsharded batch.
-        """
-        request = DetectionRequest(
-            protocol=self.protocol,
-            scenario=self.scenario,
-            runs=runs,
-            horizon=self.horizon,
-            checkpoints=self.checkpoints,
-            seed=self.seed,
-            fl_sampling=self.fl_sampling,
-            fl_interval=self.fl_interval,
-            faults=self.faults,
-            run_offset=run_offset,
-        )
-        result = get_backend(self.backend).run(request)
-        return (
-            result.convictions,
-            result.estimates_last,
-            result.engines,
-            result.reasons,
-        )
-
-    # -- model-driven protocols ------------------------------------------------
-
-    def _run_modelled(self):
-        params = self.scenario.params
-        f, b_ack, b_report = self.scenario.model_rates()
-        model = models.build_model(self.protocol, f, b_ack, b_report, params)
-        thresholds = np.asarray(
-            models.decision_thresholds(self.protocol, params)
-        )
-        convictions = np.zeros(
-            (len(self.checkpoints), self.runs, params.path_length),
-            dtype=bool,
-        )
-        trajectory = model_trajectory(
-            model, np.random.default_rng(self.seed), self.checkpoints, self.runs
-        )
-        for index, (estimates, _) in enumerate(trajectory):
-            convictions[index] = estimates > thresholds[None, :]
-        return convictions, estimates
-
-    @staticmethod
-    def _estimates(scores, rounds, kind, d):
-        safe_rounds = np.maximum(rounds, 1)[:, None].astype(float)
-        if kind == models.KIND_BLAME:
-            return scores / safe_rounds
-        # Interval scoring: cumulative difference estimator, vectorized.
-        padded = np.concatenate(
-            [scores, np.zeros((scores.shape[0], 1), dtype=scores.dtype)], axis=1
-        )
-        cumulative = d * (padded[:, :-1] - padded[:, 1:]) / safe_rounds
-        shifted = np.concatenate(
-            [np.zeros((scores.shape[0], 1)), cumulative[:, :-1]], axis=1
-        )
-        return np.maximum(0.0, cumulative - shifted)
-
-    # -- statistical FL -----------------------------------------------------------
-
-    def _run_statfl(self):
-        params = self.scenario.params
-        d = params.path_length
-        rng = np.random.default_rng(self.seed)
-        forward = np.asarray(self.scenario.forward_link_rates())
-        thresholds = np.asarray(models.decision_thresholds("statfl", params))
-        # Cumulative arrivals per node 0..d and sampled-counter values.
-        arrivals = np.zeros((self.runs, d + 1), dtype=np.int64)
-        counters = np.zeros((self.runs, d), dtype=np.int64)  # nodes 1..d
-        convictions = np.zeros(
-            (len(self.checkpoints), self.runs, d), dtype=bool
-        )
-        estimates = np.zeros((self.runs, d))
-
-        previous = 0
-        for index, checkpoint in enumerate(self.checkpoints):
-            block = checkpoint - previous
-            previous = checkpoint
-            if block > 0:
-                new_arrivals = np.full(self.runs, block, dtype=np.int64)
-                arrivals[:, 0] += new_arrivals
-                for link in range(d):
-                    new_arrivals = rng.binomial(new_arrivals, 1.0 - forward[link])
-                    arrivals[:, link + 1] += new_arrivals
-                    counters[:, link] += rng.binomial(
-                        new_arrivals, 0.0 + self.fl_sampling
-                    )
-            # Survival fractions: node 0 exact, nodes 1..d from counters.
-            sent = np.maximum(arrivals[:, 0], 1).astype(float)
-            fractions = np.concatenate(
-                [
-                    np.ones((self.runs, 1)),
-                    counters / (self.fl_sampling * sent[:, None]),
-                ],
-                axis=1,
-            )
-            upstream = np.maximum(fractions[:, :-1], 1e-12)
-            estimates = np.maximum(0.0, 1.0 - fractions[:, 1:] / upstream)
-            convictions[index] = estimates > thresholds[None, :]
-        return convictions, estimates
-
-
-def _run_detection_shard(payload):
-    """Execute one shard of a sharded batch (possibly in a worker).
-
-    Module-level so payloads pickle by reference; a shard is simply a
-    single-shard :class:`DetectionExperiment` at the shard's derived seed
-    (model backend) or at the root seed plus a run offset (wire
-    backends). Returns ``(convictions, estimates, engines, reasons)``.
-    """
-    (
-        protocol,
-        scenario,
-        runs,
-        horizon,
-        checkpoints,
-        seed,
-        fl_sampling,
-        fl_interval,
-        backend,
-        faults,
-        run_offset,
-    ) = payload
-    shard = DetectionExperiment(
-        protocol,
-        scenario,
-        runs=runs,
-        horizon=horizon,
-        checkpoints=checkpoints,
-        seed=seed,
-        fl_sampling=fl_sampling,
-        shards=1,
-        fl_interval=fl_interval,
-        backend=backend,
-        faults=faults,
-    )
-    if backend == "model":
-        convictions, estimates = shard._run_arrays()
-        return convictions, estimates, [], []
-    return shard._run_wire(runs, run_offset=run_offset)
-
+    Module-level so payloads pickle by reference."""
+    name, request = payload
+    return get_backend(name).run(request)

@@ -8,7 +8,7 @@ verdicts for the whole network. This module runs that experiment with
 the closed-form outcome models:
 
 1. Each route gets an independent seeded score trajectory: a one-run
-   :func:`repro.mc.detection.model_trajectory`, the same loop that
+   :meth:`repro.mc.detection.ModelBackend.trajectory`, the same loop that
    drives the single-path model backend, over the route's
    :mod:`repro.protocols.models` outcome model with **heterogeneous
    per-hop rates**: hop ``i`` of a route crossing topology link ``L``
@@ -45,7 +45,7 @@ import numpy as np
 from repro.analysis.hoeffding import hoeffding_confidence
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
-from repro.mc.detection import model_trajectory, resolve_checkpoints
+from repro.mc.detection import ModelBackend, resolve_checkpoints
 from repro.metrics.confusion import FpFnCurve, curve_from_convictions
 from repro.obs.ledger import get_ledger
 from repro.obs.profile import phase as profile_phase
@@ -486,10 +486,10 @@ def _run_netexp_shard(payload):
     Module-level so payloads pickle by reference. Each route's seed came
     pre-derived from the root seed and absolute route index, so the
     result is independent of how routes were chunked. A route is a
-    one-run :func:`~repro.mc.detection.model_trajectory` whose per-hop
-    rates compose ``rho`` with each topology link's adversarial rate;
-    returns ``(index, thresholds, estimates (C, d), rounds (C,))`` per
-    route.
+    one-run :meth:`~repro.mc.detection.ModelBackend.trajectory` whose
+    per-hop rates compose ``rho`` with each topology link's adversarial
+    rate; returns ``(index, thresholds, estimates (C, d), rounds (C,))``
+    per route.
     """
     protocol, rho, checkpoints, specs = payload
     results = []
@@ -499,7 +499,7 @@ def _run_netexp_shard(payload):
         f = [1.0 - (1.0 - rho) * (1.0 - beta) for beta in betas]
         model = models.build_model(protocol, f, f, [rho] * d, params)
         trajectory = list(
-            model_trajectory(
+            ModelBackend.trajectory(
                 model, np.random.default_rng(seed), checkpoints, runs=1
             )
         )

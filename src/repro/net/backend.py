@@ -1,16 +1,13 @@
 """Execution-backend seam for detection experiments.
 
-Detection experiments historically hard-coded one of two execution
-strategies: the closed-form per-round outcome models in
-``repro.mc.detection`` ("model") or the discrete-event wire simulator
-("event", via ``repro.net.simulator``). This module extracts the seam so
-experiments *select* an engine instead:
+Detection experiments select one of three engines by name through
+:func:`get_backend`; each is a :class:`SimulationBackend` that turns a
+:class:`DetectionRequest` into a :class:`BackendRunResult`:
 
 ``model``
-    Closed-form Monte-Carlo outcome models — the historical default for
-    figure2/table2, unchanged byte-for-byte. Not a
-    :class:`SimulationBackend`; ``repro.mc.detection`` dispatches to it
-    directly.
+    Closed-form Monte-Carlo outcome models
+    (:class:`repro.mc.detection.ModelBackend`) — the default for
+    figure2/table2, and the engine of the paper's 10,000-run study.
 ``event``
     The full discrete-event engine (:class:`EventBackend`): one
     :class:`~repro.net.simulator.Simulator` per run, real packets on real
@@ -25,6 +22,10 @@ experiments *select* an engine instead:
     actually used is recorded per run in
     :attr:`BackendRunResult.engines`.
 
+Each backend also owns its shard rule, :meth:`SimulationBackend.split`:
+the wire engines keep the root seed and partition the run-index space,
+the model engine seeds each shard independently.
+
 Both wire backends drive traffic with the same serialized-round schedule
 (:func:`wire_send_interval`): rounds are spaced widely enough that every
 round's packets, probes, reports, and timers fully resolve before the
@@ -33,7 +34,8 @@ next round starts, which is what makes the per-round fast replay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,8 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.spec import FaultSpec
     from repro.workloads.scenarios import Scenario
 
-#: Engine names accepted by the experiment layer (``model`` is handled by
-#: ``repro.mc.detection`` itself; ``get_backend`` resolves the other two).
+#: Engine names :func:`get_backend` resolves.
 BACKEND_NAMES = ("model", "fastpath", "event")
 
 #: Label used to derive the per-run root seed from the experiment seed.
@@ -69,6 +70,21 @@ def wire_send_interval(params) -> float:
     depends on.
     """
     return 6.0 * params.r0 + 2.0 * params.probe_delay
+
+
+def check_checkpoints(horizon: int, checkpoints: Sequence[int]) -> List[int]:
+    """``checkpoints`` as a list of ints, or a configuration error when it
+    is empty, non-ascending, non-positive or beyond ``horizon``."""
+    resolved = [int(checkpoint) for checkpoint in checkpoints]
+    if not resolved:
+        raise ConfigurationError("checkpoints must not be empty")
+    if sorted(resolved) != resolved:
+        raise ConfigurationError("checkpoints must be ascending")
+    if resolved[0] <= 0:
+        raise ConfigurationError("checkpoints must be positive")
+    if resolved[-1] > horizon:
+        raise ConfigurationError("checkpoints exceed horizon")
+    return resolved
 
 
 def run_seed(experiment_seed: int, run_index: int) -> int:
@@ -102,14 +118,7 @@ class DetectionRequest:
             raise ConfigurationError(
                 f"run_offset must be non-negative, got {self.run_offset}"
             )
-        checkpoints = [int(c) for c in self.checkpoints]
-        if not checkpoints or checkpoints != sorted(checkpoints):
-            raise ConfigurationError("checkpoints must be a sorted non-empty list")
-        if checkpoints[0] <= 0:
-            raise ConfigurationError("checkpoints must be positive")
-        if checkpoints[-1] > self.horizon:
-            raise ConfigurationError("checkpoints exceed horizon")
-        self.checkpoints = checkpoints
+        self.checkpoints = check_checkpoints(self.horizon, self.checkpoints)
         from repro.protocols.statfl import check_sketch_parameters
 
         check_sketch_parameters(self.fl_sampling, self.fl_interval)
@@ -117,7 +126,7 @@ class DetectionRequest:
 
 @dataclass
 class BackendRunResult:
-    """Per-run detection outcomes produced by a wire backend.
+    """Per-run detection outcomes produced by a backend.
 
     Attributes
     ----------
@@ -128,8 +137,8 @@ class BackendRunResult:
         ``(runs, path_length)`` per-link loss estimates at the final
         checkpoint.
     engines:
-        Engine actually used for each run (``"fastpath"`` or
-        ``"event"``) — the audit trail proving fallback routing.
+        Engine actually used for each run (``"model"``, ``"fastpath"``
+        or ``"event"``) — the audit trail proving fallback routing.
     reasons:
         Why runs fell back to the event engine (empty when none did).
     """
@@ -141,9 +150,24 @@ class BackendRunResult:
 
 
 class SimulationBackend:
-    """A strategy that executes wire detection runs."""
+    """A strategy that executes detection runs."""
 
     name = "abstract"
+
+    def split(
+        self, request: DetectionRequest, sizes: Sequence[int]
+    ) -> List[DetectionRequest]:
+        """One request per shard of ``sizes`` runs, in shard order.
+
+        The wire rule: every shard keeps the root seed and ``run_offset``
+        partitions the run-index space, so any decomposition reproduces
+        the unsharded batch byte-for-byte.
+        """
+        offsets = accumulate(sizes[:-1], initial=request.run_offset)
+        return [
+            replace(request, runs=size, run_offset=offset)
+            for size, offset in zip(sizes, offsets)
+        ]
 
     def run(self, request: DetectionRequest) -> BackendRunResult:
         raise NotImplementedError
@@ -321,14 +345,18 @@ class EventBackend(SimulationBackend):
 
 
 def get_backend(name: str) -> SimulationBackend:
-    """Resolve a wire backend by name (``fastpath`` or ``event``)."""
+    """Resolve a backend by name (one of :data:`BACKEND_NAMES`)."""
     if name == "event":
         return EventBackend()
     if name == "fastpath":
         from repro.net.fastpath import FastpathBackend
 
         return FastpathBackend()
+    if name == "model":
+        from repro.mc.detection import ModelBackend
+
+        return ModelBackend()
     raise ConfigurationError(
-        f"unknown wire backend {name!r}; expected one of: fastpath, event "
-        "(the 'model' backend is handled by repro.mc.detection directly)"
+        f"unknown backend {name!r}; expected one of: "
+        + ", ".join(BACKEND_NAMES)
     )

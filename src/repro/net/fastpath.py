@@ -77,11 +77,12 @@ indices. ``--jobs`` workers each build their own.
 
 Eligibility
 -----------
-:func:`classify_request` routes anything the replay cannot reproduce
+:func:`classify_reasons` lists why a request cannot be replayed
 exactly — fault schedules, bidirectional (reverse-path) adversaries,
 probe retransmissions, windowed scoreboards, tight freshness windows, or
-protocols without a ported round model — to the full event engine. The
-engine used per run is recorded in ``BackendRunResult.engines``.
+protocols without a ported round model — and any request with a reason
+runs on the full event engine. The engine used per run is recorded in
+``BackendRunResult.engines``, the reasons in ``BackendRunResult.reasons``.
 """
 
 from __future__ import annotations
@@ -395,14 +396,6 @@ def classify_reasons(request: DetectionRequest) -> List[str]:
     if params.freshness_window < 0.5 * params.r0:
         reasons.append("freshness window below in-flight transit bound")
     return sorted(set(reasons))
-
-
-def classify_request(request: DetectionRequest) -> Optional[str]:
-    """Return ``None`` when the replay is exact, else the first (in
-    canonical sorted order) fallback reason — see :func:`classify_reasons`
-    for the full list."""
-    reasons = classify_reasons(request)
-    return reasons[0] if reasons else None
 
 
 class _MetricTally:

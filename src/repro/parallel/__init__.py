@@ -6,7 +6,7 @@ The experiment harness has two embarrassingly parallel axes:
   (:func:`repro.experiments.runner.run_all` — ``report --jobs N``), and
 * the independent runs of a Monte-Carlo batch
   (:class:`repro.mc.detection.DetectionExperiment`), which shard into
-  per-worker chunks whose seeds derive from the root seed.
+  per-worker chunks by their backend's ``split`` rule.
 
 This package provides the process-pool engine behind both, built so that
 **parallel output is identical to serial output at the same seed**: work

@@ -304,10 +304,10 @@ class StatFLSource(SourceAgent):
 
 def check_sketch_parameters(fl_sampling: float, interval_length: int) -> None:
     """Reject sketch parameters no engine can run: a sampling probability
-    outside (0, 1] or a non-positive report interval. Every entry point
-    (this protocol, ``DetectionRequest``, ``DetectionExperiment``) checks
-    with this one rule, so the model, fastpath and event engines refuse
-    the same requests."""
+    outside (0, 1] or a non-positive report interval. Both entry points
+    (this protocol and ``DetectionRequest``, which every engine runs)
+    check with this one rule, so the model, fastpath and event engines
+    refuse the same requests."""
     if not 0.0 < fl_sampling <= 1.0:
         raise ConfigurationError(f"fl_sampling must be in (0, 1], got {fl_sampling}")
     if interval_length <= 0:

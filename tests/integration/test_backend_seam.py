@@ -18,6 +18,9 @@ from repro.experiments.runner import (
 )
 from repro.faults.spec import preset
 from repro.mc.detection import DetectionExperiment
+from repro.obs.profile import PhaseProfiler
+from repro.obs.registry import MetricsRegistry, using_session
+from repro.obs.session import Session
 from repro.workloads.scenarios import paper_scenario
 
 
@@ -57,7 +60,23 @@ class TestDetectionExperimentBackends:
             "full-ack", scenario, runs=40, horizon=400, seed=2
         ).run()
         assert result.backend == "model"
-        assert result.engines == []
+        assert result.engines == ["model"] * 40
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sharded_model_batch_profiles_scoring_per_shard(self, jobs):
+        """600 runs take three model shards; each shard's work runs in
+        the ``scoring`` phase, in-process or in a pool worker."""
+        registry = MetricsRegistry()
+        session = Session(registry=registry, profiler=PhaseProfiler(registry))
+        with using_session(session):
+            DetectionExperiment(
+                "full-ack", paper_scenario(), runs=600, horizon=300
+            ).run(jobs=jobs)
+        calls = {
+            phase: registry.counter_value("profile.phase_calls", phase=phase)
+            for phase in ("scoring", "conviction")
+        }
+        assert calls == {"scoring": 3, "conviction": 1}
 
     def test_backend_validation(self):
         scenario = paper_scenario()

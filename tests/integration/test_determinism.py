@@ -136,24 +136,32 @@ class TestGoldenValues:
 
     def test_model_backend_golden_digest(self):
         """The closed-form model backend's convictions and final
-        estimates for five protocols at a fixed seed over two shards.
-        Guards the shared model trajectory loop's draw order."""
+        estimates for five protocols at a fixed seed, over two shards
+        (per-shard derived seeds) and over one (the root seed). Guards
+        the shared model trajectory loop's draw order and both shard-seed
+        rules."""
         from repro.mc.detection import DetectionExperiment
 
-        digest = b""
-        for name in ("full-ack", "paai1", "paai2", "statfl", "combo1"):
-            result = DetectionExperiment(
-                name, paper_scenario(), runs=64, horizon=2000, seed=2026,
-                shards=2,
-            ).run()
-            digest = hash_bytes(
-                digest
-                + name.encode()
-                + result.convictions.tobytes()
-                + result.estimates_last.astype("<f8").tobytes()
-            )
-        assert digest.hex() == (
+        def digest_over(shards):
+            digest = b""
+            for name in ("full-ack", "paai1", "paai2", "statfl", "combo1"):
+                result = DetectionExperiment(
+                    name, paper_scenario(), runs=64, horizon=2000,
+                    seed=2026, shards=shards,
+                ).run()
+                digest = hash_bytes(
+                    digest
+                    + name.encode()
+                    + result.convictions.tobytes()
+                    + result.estimates_last.astype("<f8").tobytes()
+                )
+            return digest.hex()
+
+        assert digest_over(2) == (
             "25fa94d06ee9b45bb8f2b4407355e90b7742751cf62050516a5d96732bf8602b"
+        )
+        assert digest_over(1) == (
+            "9999d585ac92e21a180b23e802e11394227500cb9b81884d2d71eb361b24aed0"
         )
 
     def test_netexp_golden_digest(self):

@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 from repro.core.params import ProtocolParams
 from repro.faults.spec import preset
 from repro.net.backend import DetectionRequest, get_backend
-from repro.net.fastpath import (
-    PORTED_FAMILIES,
-    classify_reasons,
-    classify_request,
-)
+from repro.net.fastpath import PORTED_FAMILIES, classify_reasons
 from repro.obs.ledger import EvidenceLedger, using_ledger
 from repro.obs.registry import MetricsRegistry, using_registry
 from repro.protocols.registry import available_protocols, protocol_class
@@ -143,17 +139,18 @@ class TestFallbackRouting:
         scenario = Scenario(malicious_nodes={4: 0.02})
         for protocol in UNPORTED:
             request = _request(protocol, scenario, seed=3, horizon=20)
-            reason = classify_request(request)
-            assert reason is not None and "vectorized" in reason
+            reasons = classify_reasons(request)
+            assert len(reasons) == 1 and "vectorized" in reasons[0]
             result, _, _ = _run("fastpath", request)
             assert result.engines == ["event"]
-            assert result.reasons == [reason]
+            assert result.reasons == reasons
 
     def test_fault_schedules_route_to_event(self):
         scenario = Scenario(malicious_nodes={4: 0.02})
         request = _request("full-ack", scenario, seed=3, horizon=20)
         request.faults = preset("benign-jitter")
-        assert "fault schedule" in classify_request(request)
+        [reason] = classify_reasons(request)
+        assert "fault schedule" in reason
         result, _, _ = _run("fastpath", request)
         assert result.engines == ["event"]
 
@@ -162,7 +159,8 @@ class TestFallbackRouting:
             malicious_nodes={4: 0.02}, bidirectional=True
         )
         request = _request("full-ack", scenario, seed=3, horizon=20)
-        assert "reverse path" in classify_request(request)
+        [reason] = classify_reasons(request)
+        assert "reverse path" in reason
         result, _, _ = _run("fastpath", request)
         assert result.engines == ["event"]
 
@@ -174,12 +172,14 @@ class TestFallbackRouting:
             "full-ack", scenario_for(ProtocolParams(probe_retries=2)),
             seed=3, horizon=20,
         )
-        assert "retransmission" in classify_request(retried)
+        [reason] = classify_reasons(retried)
+        assert "retransmission" in reason
         windowed = _request(
             "full-ack", scenario_for(ProtocolParams(score_window=50)),
             seed=3, horizon=20,
         )
-        assert "windowed" in classify_request(windowed)
+        [reason] = classify_reasons(windowed)
+        assert "windowed" in reason
         params = ProtocolParams()
         tight = _request(
             "full-ack",
@@ -188,19 +188,19 @@ class TestFallbackRouting:
             ),
             seed=3, horizon=20,
         )
-        assert "freshness" in classify_request(tight)
+        [reason] = classify_reasons(tight)
+        assert "freshness" in reason
 
     def test_eligible_request_classifies_clean(self):
         scenario = Scenario(malicious_nodes={4: 0.02})
         for protocol in PORTED:
-            assert classify_request(
+            assert classify_reasons(
                 _request(protocol, scenario, seed=3, horizon=20)
-            ) is None
+            ) == []
 
 class TestClassifyReasonsProperties:
     """classify_reasons must return EVERY tripped clause, deduplicated,
-    in canonical sorted order — independent of clause evaluation order —
-    and classify_request must be its first element."""
+    in canonical sorted order — independent of clause evaluation order."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -251,10 +251,6 @@ class TestClassifyReasonsProperties:
             matches = [r for r in reasons if marker in r]
             assert len(matches) == (1 if tripped else 0), marker
         assert len(reasons) == sum(expectations.values())
-        # classify_request is the canonical head of the same list.
-        assert classify_request(request) == (
-            reasons[0] if reasons else None
-        )
 
     def test_multi_clause_request_is_order_stable(self):
         """A request tripping several clauses yields the same list no

@@ -138,7 +138,7 @@ class TestMcEstimatorEquivalence:
     def test_vectorized_interval_estimator_matches_scalar(self, score_rows, rounds):
         """The MC engine's vectorized difference estimator must agree with
         the reference ScoreBoard/DifferenceEstimator implementation."""
-        from repro.mc.detection import DetectionExperiment
+        from repro.mc.detection import ModelBackend
 
         d = 6
         # Make rows valid interval-score profiles (non-increasing in j),
@@ -149,7 +149,7 @@ class TestMcEstimatorEquivalence:
             profiles.append(profile)
         scores = np.array(profiles)
         rounds_vector = np.full(len(profiles), rounds)
-        vectorized = DetectionExperiment._estimates(
+        vectorized = ModelBackend._estimates(
             scores, rounds_vector, models.KIND_INTERVAL, d
         )
         for row_index, profile in enumerate(profiles):

@@ -13,6 +13,7 @@ from repro.crypto.hashing import packet_identifier
 from repro.crypto.keys import DEFAULT_KEY_SEED, KeyManager
 from repro.crypto.prf import PRF, HotPRF, fraction_threshold
 from repro.exceptions import ConfigurationError
+from repro.mc.detection import ModelBackend
 from repro.net import fastpath
 from repro.net.backend import (
     BACKEND_NAMES,
@@ -398,8 +399,7 @@ class TestBackendSeam:
         assert BACKEND_NAMES == ("model", "fastpath", "event")
         assert isinstance(get_backend("event"), EventBackend)
         assert isinstance(get_backend("fastpath"), FastpathBackend)
-        with pytest.raises(ConfigurationError):
-            get_backend("model")  # handled by repro.mc.detection directly
+        assert isinstance(get_backend("model"), ModelBackend)
         with pytest.raises(ConfigurationError):
             get_backend("warp")
 
