@@ -201,6 +201,66 @@ class TestGoldenValues:
             "431544979659042c0d160ca4adc6b5afb06721418b4ece3510560865231d25cd"
         )
 
+    def test_event_engine_golden_digest(self):
+        """Five wire protocols on ``paper_scenario()`` at two seeds, each
+        run once with the null registry and once with a live one. Pins
+        verdicts, float-hex estimates, rounds, events processed, per-wire
+        transmissions and natural losses, every node's store peak and,
+        from the live registry, the ``sim.events`` counters per callback
+        label and ``crypto.hmac.calls``. A change to the scheduler, link,
+        node, agent or crypto hot path that moves any draw, event or MAC
+        fails here."""
+        from repro.obs.registry import MetricsRegistry, using_registry
+
+        def session(name, seed):
+            simulator = Simulator(seed=seed)
+            protocol = paper_scenario().build_protocol(name, simulator)
+            protocol.run_traffic(count=600, rate=1000.0)
+            result = protocol.identify()
+            wires = [link.wire for link in protocol.path.links]
+            return json.dumps(
+                [
+                    sorted(result.convicted),
+                    [float(e).hex() for e in result.estimates],
+                    result.rounds,
+                    simulator.events_processed,
+                    [
+                        sorted(
+                            (k.value, d.value, n)
+                            for (k, d), n in getattr(wire.stats, field).items()
+                        )
+                        for wire in wires
+                        for field in ("transmissions", "natural_losses")
+                    ],
+                    [node.store.peak for node in protocol.path.nodes],
+                ]
+            )
+
+        digest = b""
+        for name in ("paai1", "paai2", "full-ack", "combo1", "statfl"):
+            for seed in (11, 12):
+                registry = MetricsRegistry()
+                with using_registry(registry):
+                    metered = session(name, seed)
+                counters = json.dumps(
+                    [
+                        [entry["name"], entry["labels"].get("type", ""),
+                         entry["value"]]
+                        for entry in registry.snapshot()["counters"]
+                        if entry["name"] in ("sim.events", "crypto.hmac.calls")
+                    ]
+                )
+                digest = hash_bytes(
+                    digest
+                    + f"{name}:{seed}".encode()
+                    + session(name, seed).encode()
+                    + metered.encode()
+                    + counters.encode()
+                )
+        assert digest.hex() == (
+            "599c43bc88578c0633bdd9c9465dc713af60572c41044eaab9440d4184ad9adc"
+        )
+
     def test_crypto_streams_stable(self):
         """Key derivation must be stable across runs and machines."""
         from repro.crypto.keys import KeyManager
