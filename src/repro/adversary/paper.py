@@ -27,7 +27,15 @@ from typing import Optional
 
 from repro.adversary.base import AdversaryStrategy
 from repro.exceptions import ConfigurationError
-from repro.net.packets import Direction, Packet, PacketKind
+from repro.net.packets import (
+    ACK,
+    DATA,
+    FORWARD,
+    PROBE,
+    REVERSE,
+    Direction,
+    Packet,
+)
 
 
 class PaperTacticAdversary(AdversaryStrategy):
@@ -42,10 +50,7 @@ class PaperTacticAdversary(AdversaryStrategy):
         self._rng = rng
 
     def process(self, node, packet: Packet, direction: Direction) -> Optional[Packet]:
-        if direction is Direction.FORWARD and packet.kind in (
-            PacketKind.DATA,
-            PacketKind.PROBE,
-        ):
+        if direction is FORWARD and packet.kind in (DATA, PROBE):
             if self.rate > 0.0 and self._rng.random() < self.rate:
                 self._drop(packet, direction)
                 return None
@@ -55,8 +60,8 @@ class PaperTacticAdversary(AdversaryStrategy):
         self, node, packet: Packet, direction: Direction
     ) -> Optional[Packet]:
         if (
-            direction is Direction.REVERSE
-            and packet.kind is PacketKind.ACK
+            direction is REVERSE
+            and packet.kind is ACK
             and not getattr(packet, "is_report", False)
         ):
             if self.rate > 0.0 and self._rng.random() < self.rate:

@@ -16,7 +16,8 @@ Usage::
     python -m repro.cli explain --ledger ledger.jsonl [--run N]
 
 Every command prints a plain-text table; ``--json`` dumps the structured
-result instead.
+result instead (for ``figure2``, the panel's numbers: curve, convergence,
+average, bound and engines — per-run evidence goes to ``--ledger-out``).
 
 Observability: experiment commands accept ``--metrics-out FILE`` (metrics
 registry snapshot as JSON), ``--trace-out FILE`` (round spans as JSONL),
@@ -219,17 +220,13 @@ def _cmd_figure2(args) -> None:
         )
         detection = result.detection
         if extra is not None and detection.backend != "model":
-            engines = detection.engines
             extra["wire_backend"] = {
                 "backend": detection.backend,
-                "engines": {
-                    name: engines.count(name)
-                    for name in sorted(set(engines))
-                },
+                "engines": detection.engine_counts(),
                 "fallback_reasons": sorted(detection.reasons),
             }
     if getattr(args, "json", False):
-        _emit(args, result)
+        print(json.dumps(result.to_json(), indent=2))
     else:
         # Figure 2(c)'s per-link view is the point of the PAAI-2 panel.
         per_link = args.per_link or args.protocol == "paai2"

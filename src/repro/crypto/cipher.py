@@ -52,8 +52,7 @@ class StreamCipher:
         if len(nonce) != NONCE_SIZE:
             raise ValueError(f"nonce source returned {len(nonce)} bytes")
         keystream = self._prf.keystream(nonce, len(plaintext))
-        body = bytes(p ^ k for p, k in zip(plaintext, keystream))
-        return nonce + body
+        return nonce + _xor(plaintext, keystream)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         """Invert :meth:`encrypt`.
@@ -71,4 +70,13 @@ class StreamCipher:
             )
         nonce, body = ciphertext[:NONCE_SIZE], ciphertext[NONCE_SIZE:]
         keystream = self._prf.keystream(nonce, len(body))
-        return bytes(c ^ k for c, k in zip(body, keystream))
+        return _xor(body, keystream)
+
+
+def _xor(data: bytes, keystream: bytes) -> bytes:
+    """``data`` XOR ``keystream`` (of equal length) as one integer
+    operation, not a per-byte loop."""
+    size = len(data)
+    return (
+        int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
+    ).to_bytes(size, "big")

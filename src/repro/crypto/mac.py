@@ -55,14 +55,42 @@ def hmac_pads(key: bytes) -> tuple[bytes, bytes]:
     return key.translate(_IPAD_TABLE), key.translate(_OPAD_TABLE)
 
 
+#: Most keys whose precomputed hash states :data:`_KEY_STATES` holds. A
+#: path of length ``d`` uses a few keys per node; the bound only stops a
+#: long-lived process that mints keys forever from growing without limit.
+KEY_STATE_CAP = 4096
+
+#: key -> (inner, outer) SHA-256 states that have already absorbed the
+#: ``K' xor ipad`` / ``K' xor opad`` blocks. The states are a pure
+#: function of the key, so the cache never changes a digest; when full
+#: it drops its oldest key.
+_KEY_STATES: dict = {}
+
+
+def _cache_key_states(key: bytes) -> tuple:
+    """Build and cache the ``(inner, outer)`` states of ``key``."""
+    if len(_KEY_STATES) >= KEY_STATE_CAP:
+        _KEY_STATES.pop(next(iter(_KEY_STATES)), None)
+    inner_pad, outer_pad = hmac_pads(key)
+    states = (hashlib.sha256(inner_pad), hashlib.sha256(outer_pad))
+    _KEY_STATES[key] = states
+    return states
+
+
 def _hmac_sha256(key: bytes, message: bytes) -> bytes:
     if not isinstance(key, (bytes, bytearray)):
         raise TypeError("key must be bytes")
     if not isinstance(message, (bytes, bytearray)):
         raise TypeError("message must be bytes")
-    inner_pad, outer_pad = hmac_pads(key)
-    inner = hashlib.sha256(inner_pad + bytes(message)).digest()
-    return hashlib.sha256(outer_pad + inner).digest()
+    key = bytes(key)
+    states = _KEY_STATES.get(key)
+    if states is None:
+        states = _cache_key_states(key)
+    inner = states[0].copy()
+    inner.update(message)
+    outer = states[1].copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:

@@ -46,6 +46,32 @@ class Figure2Result:
     def average_packets(self) -> float:
         return self.detection.average_detection_packets()
 
+    def to_json(self) -> dict:
+        """The panel's numbers and the engines that produced them (what
+        ``figure2 --json`` prints). The per-run conviction tensor is not
+        here; ``--ledger-out`` records each run's evidence."""
+        detection = self.detection
+        curve = detection.curve
+        convergence = self.convergence
+        return {
+            "protocol": self.protocol,
+            "runs": curve.runs,
+            "checkpoints": [int(c) for c in curve.checkpoints],
+            "curve": {
+                "fp_rates": [float(r) for r in curve.fp_rates],
+                "fn_rates": [float(r) for r in curve.fn_rates],
+            },
+            "convergence_packets": (
+                None if convergence is None else int(convergence)
+            ),
+            "average_packets": self.average_packets,
+            "theory_bound_packets": float(self.theory_bound_packets),
+            "sigma": self.sigma,
+            "backend": detection.backend,
+            "engines": detection.engine_counts(),
+            "fallback_reasons": sorted(detection.reasons),
+        }
+
     def render(self, per_link: bool = False) -> str:
         from repro.experiments.charts import fpfn_chart
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -280,6 +280,10 @@ class DetectionResult:
 
     def convergence_packets(self, sigma: float) -> Optional[int]:
         return self.curve.convergence_packets(sigma)
+
+    def engine_counts(self) -> Dict[str, int]:
+        """Runs per engine that produced them, by engine name."""
+        return {name: self.engines.count(name) for name in sorted(set(self.engines))}
 
     def average_detection_packets(self) -> float:
         """Mean per-run packets to a stable exact verdict (Table 2's

@@ -18,6 +18,10 @@ class SimClock:
     """Monotonic simulation clock advanced only by the engine."""
 
     def __init__(self, start: float = 0.0) -> None:
+        # Read directly on the engine's per-event path (event queue,
+        # simulator, node clocks, links); written only here, by
+        # advance_to, and by Simulator.run, whose queue admits no event
+        # before it.
         self._now = float(start)
 
     @property
@@ -80,7 +84,7 @@ class NodeClock:
     @property
     def now(self) -> float:
         """The node's local time."""
-        engine_now = self._clock.now
+        engine_now = self._clock._now
         local = engine_now + self._skew
         if self._drift_rate:
             local += self._drift_rate * (engine_now - self._drift_origin)

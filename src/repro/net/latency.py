@@ -56,7 +56,8 @@ class UniformLatency(LatencyModel):
         self._high = high
 
     def delay(self, rng: random.Random) -> float:
-        return rng.uniform(self._low, self._high)
+        # ``random.uniform``'s own formula, bit for bit, without its frame.
+        return self._low + (self._high - self._low) * rng.random()
 
     @property
     def maximum(self) -> float:

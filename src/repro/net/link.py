@@ -349,54 +349,57 @@ class Link:
                 return False
             packet = replacement
         wire = self.wire
+        stats = wire.stats
         on_wire, loss_model = self._sides[direction]
-        wire.stats.record_transmission(packet, on_wire)
+        kind = packet.kind
+        stats.transmissions[kind, on_wire] += 1
+        stats.bytes_sent[kind] += packet.size
         metrics = self._metrics
         if metrics is not None:
-            metrics.tx[packet.kind, direction].inc()
-            metrics.bytes[packet.kind, direction].inc(packet.size)
-        for listener in self._listeners:
+            metrics.tx[kind, direction].inc()
+            metrics.bytes[kind, direction].inc(packet.size)
+        listeners = self._listeners
+        for listener in listeners:
             listener.on_transmit(self, packet, direction)
         adversary = wire._adversary_rng
         if adversary is not None and adversary.random() < wire.adversary_rate:
-            wire.adversarial_drops[packet.kind, on_wire] += 1
+            wire.adversarial_drops[kind, on_wire] += 1
             if metrics is not None:
-                metrics.adversarial[packet.kind, direction].inc()
+                metrics.adversarial[kind, direction].inc()
             # Spans still see a loss event: the protocol under test cannot
             # distinguish adversarial from natural consumption on the wire.
-            for listener in self._listeners:
+            for listener in listeners:
                 listener.on_loss(self, packet, direction)
             return False
-        if loss_model.is_lost(wire._rng):
-            wire.stats.record_natural_loss(packet, on_wire)
+        rng = wire._rng
+        if loss_model.is_lost(rng):
+            stats.natural_losses[kind, on_wire] += 1
             if metrics is not None:
-                metrics.loss[packet.kind, direction].inc()
-            for listener in self._listeners:
+                metrics.loss[kind, direction].inc()
+            for listener in listeners:
                 listener.on_loss(self, packet, direction)
             return False
-        arrival = self.simulator.now + wire._latency.delay(wire._rng)
+        simulator = self.simulator
+        arrival = simulator.clock._now + wire._latency.delay(rng)
         # FIFO per wire direction: never overtake the previous packet,
         # whichever path sent it.
-        arrival = max(arrival, wire._last_arrival[on_wire])
-        wire._last_arrival[on_wire] = arrival
+        last_arrival = wire._last_arrival
+        if arrival < last_arrival[on_wire]:
+            arrival = last_arrival[on_wire]
+        last_arrival[on_wire] = arrival
+
         def deliver() -> None:
-            self._deliver(packet, direction)
+            # The receiver and listeners are looked up when the packet
+            # arrives, so hooks and re-wired endpoints installed while it
+            # was in flight are honored.
+            for listener in listeners:
+                listener.on_deliver(self, packet, direction)
+            receiver = self._receivers[direction]
+            if receiver is not None:
+                receiver(packet, direction)
 
-        self.simulator.schedule_at(arrival, deliver)
+        simulator.queue.schedule(arrival, deliver)
         return True
-
-    def _deliver(self, packet: Packet, direction: Direction) -> None:
-        """Engine callback: hand ``packet`` to the receiving node.
-
-        The receiver is looked up at delivery time, so listeners and
-        re-wired endpoints installed while the packet was in flight are
-        honored.
-        """
-        for listener in self._listeners:
-            listener.on_deliver(self, packet, direction)
-        receiver = self._receivers[direction]
-        if receiver is not None:
-            receiver(packet, direction)
 
     @property
     def max_one_way_latency(self) -> float:

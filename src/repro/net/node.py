@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.exceptions import CryptoError, ProtocolError, SimulationError
 from repro.net.clock import NodeClock
-from repro.net.packets import Direction, Packet
+from repro.net.packets import FORWARD, REVERSE, Direction, Packet
 from repro.obs.registry import get_registry
 
 #: Signature of the fault-injection gate installed by ``repro.faults``:
@@ -56,32 +56,30 @@ class PacketStore:
 
     def add(self, identifier: bytes, now: float, **state: Any) -> Dict[str, Any]:
         """Insert (or replace) the entry for ``identifier``."""
-        entry = dict(state)
-        entry["stored_at"] = now
-        self._entries[identifier] = entry
-        self._notify(now)
-        return entry
+        state["stored_at"] = now
+        entries = self._entries
+        entries[identifier] = state
+        size = len(entries)
+        if size > self.peak:
+            self.peak = size
+        if self._observer is not None:
+            self._observer(now, size)
+        return state
 
     def get(self, identifier: bytes) -> Optional[Dict[str, Any]]:
         return self._entries.get(identifier)
 
     def pop(self, identifier: bytes, now: float) -> Optional[Dict[str, Any]]:
         entry = self._entries.pop(identifier, None)
-        if entry is not None:
-            self._notify(now)
+        if entry is not None and self._observer is not None:
+            self._observer(now, len(self._entries))
         return entry
 
     def clear(self, now: float) -> None:
         if self._entries:
             self._entries.clear()
-            self._notify(now)
-
-    def _notify(self, now: float) -> None:
-        size = len(self._entries)
-        if size > self.peak:
-            self.peak = size
-        if self._observer is not None:
-            self._observer(now, size)
+            if self._observer is not None:
+                self._observer(now, 0)
 
 
 class Node:
@@ -108,6 +106,7 @@ class Node:
         self._uplink = None  # link l_{i-1}, toward the source
         self._downlink = None  # link l_i, toward the destination
         self._path = None
+        self._simulator = None
         # Bound at attach time: the series carries the owning path's id,
         # so two paths sharing a simulator never merge their fault
         # counters. Until attached, faults are tallied locally only.
@@ -118,6 +117,7 @@ class Node:
     def attach(self, path, clock: NodeClock, uplink, downlink) -> None:
         """Called by Path to wire this node in."""
         self._path = path
+        self._simulator = path.simulator
         self.clock = clock
         self._uplink = uplink
         self._downlink = downlink
@@ -183,23 +183,34 @@ class Node:
 
     def send_forward(self, packet: Packet) -> None:
         """Egress toward the destination on link ``l_position``."""
-        if self._downlink is None:
+        link = self._downlink
+        if link is None:
             raise ProtocolError(
                 f"node {self.position} has no downstream link (destination?)"
             )
-        self._egress(packet, self._downlink, Direction.FORWARD)
+        if self.fault_gate is not None or self.adversary is not None:
+            packet = self._egress(packet, FORWARD)
+            if packet is None:
+                return
+        link.transmit(packet, FORWARD)
 
     def send_backward(self, packet: Packet) -> None:
         """Egress toward the source on link ``l_{position-1}``."""
-        if self._uplink is None:
+        link = self._uplink
+        if link is None:
             raise ProtocolError(f"node {self.position} has no upstream link (source?)")
-        self._egress(packet, self._uplink, Direction.REVERSE)
+        if self.fault_gate is not None or self.adversary is not None:
+            packet = self._egress(packet, REVERSE)
+            if packet is None:
+                return
+        link.transmit(packet, REVERSE)
 
-    def _egress(self, packet: Packet, link, direction: Direction) -> None:
+    def _egress(self, packet: Packet, direction: Direction) -> Optional[Packet]:
+        """The packet a gated or compromised node lets out, or None."""
         if self.fault_gate is not None and not self.fault_gate(
             self, packet, direction, "egress"
         ):
-            return
+            return None
         if self.adversary is not None:
             processed = self.adversary.process(self, packet, direction)
             if processed is None:
@@ -207,12 +218,13 @@ class Node:
                     packet, direction
                 )
                 self.path.notify_node_drop(self, packet, direction, "egress")
-                return
-            packet = processed
-        link.transmit(packet, direction)
+            return processed
+        return packet
 
     # -- timers ----------------------------------------------------------
 
     def set_timer(self, delay: float, action: Callable[[], None]):
         """Schedule ``action`` after ``delay`` seconds of engine time."""
-        return self.path.schedule_in(delay, action)
+        if self._simulator is None:
+            raise SimulationError(f"node {self.position} is not attached to a path")
+        return self._simulator.schedule_in(delay, action)

@@ -45,6 +45,14 @@ class Direction(enum.Enum):
     __hash__ = object.__hash__  # See PacketKind.
 
 
+#: The members as module constants. Reading a member off its class
+#: (``Direction.FORWARD``) goes through ``EnumType.__getattr__``'s lookup
+#: hook and costs several times a global load, so the per-packet path
+#: (packet constructors, node egress, agent dispatch) reads these.
+DATA, PROBE, ACK = PacketKind.DATA, PacketKind.PROBE, PacketKind.ACK
+FORWARD, REVERSE = Direction.FORWARD, Direction.REVERSE
+
+
 @dataclass
 class Packet:
     """Base packet: every packet carries the data-packet identifier it
@@ -58,7 +66,7 @@ class Packet:
     kind: PacketKind = field(init=False)
 
     def __post_init__(self) -> None:
-        self.kind = PacketKind.DATA  # overridden by subclasses
+        self.kind = DATA  # overridden by subclasses
 
 
 @dataclass
@@ -73,7 +81,7 @@ class DataPacket(Packet):
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        self.kind = PacketKind.DATA
+        self.kind = DATA
 
     @classmethod
     def create(
@@ -107,7 +115,7 @@ class ProbePacket(Packet):
     hop_macs: tuple = ()
 
     def __post_init__(self) -> None:
-        self.kind = PacketKind.PROBE
+        self.kind = PROBE
 
     @classmethod
     def create(
@@ -146,7 +154,7 @@ class AckPacket(Packet):
     is_report: bool = False
 
     def __post_init__(self) -> None:
-        self.kind = PacketKind.ACK
+        self.kind = ACK
 
     @classmethod
     def create(

@@ -201,9 +201,6 @@ class Path:
 
     # -- timing -----------------------------------------------------------
 
-    def schedule_in(self, delay: float, action) -> object:
-        return self.simulator.schedule_in(delay, action)
-
     def rtt_bound(self, position: int) -> float:
         """Worst-case round-trip time ``r_i`` from ``F_position`` to D.
 

@@ -14,6 +14,7 @@ Two properties matter:
 from __future__ import annotations
 
 import hashlib  # repro: allow(CB001) -- seed/stream derivation, not protocol crypto
+import itertools
 import random
 from typing import Iterator
 
@@ -53,10 +54,11 @@ class RngFactory:
 
     def nonce_source(self, label: str):
         """Return an ``rng(n) -> bytes`` callable for cipher nonces."""
-        stream = self.stream(f"nonce:{label}")
+        getrandbits = self.stream(f"nonce:{label}").getrandbits
 
         def rng(size: int) -> bytes:
-            return bytes(stream.getrandbits(8) for _ in range(size))
+            # One 8-bit draw per byte, iterated in C.
+            return bytes(map(getrandbits, itertools.repeat(8, size)))
 
         return rng
 

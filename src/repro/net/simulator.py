@@ -15,11 +15,14 @@ single pre-computed branch per event.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from typing import Callable, Dict, Optional
 
+from repro.exceptions import SchedulingError
 from repro.net.clock import SimClock
-from repro.net.events import EventHandle, EventQueue
+from repro.net.events import _ACTION, _CANCELLED, _TIME, EventHandle, EventQueue
 from repro.net.rng import RngFactory
 from repro.obs.registry import Counter, get_registry
 
@@ -35,7 +38,7 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self.clock = SimClock()
-        self.queue = EventQueue()
+        self.queue = EventQueue(self.clock)
         self.rng = RngFactory(seed)
         self._events_processed = 0
         self._path_ids = itertools.count()
@@ -47,7 +50,7 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current simulation time (seconds)."""
-        return self.clock.now
+        return self.clock._now
 
     @property
     def events_processed(self) -> int:
@@ -64,12 +67,23 @@ class Simulator:
         return next(self._path_ids)
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> EventHandle:
-        """Schedule ``action`` at absolute simulation ``time``."""
+        """Schedule ``action`` at absolute simulation ``time``.
+
+        Raises :class:`SchedulingError` when ``time`` lies before
+        :attr:`now` (the queue checks): every event enters the queue at
+        or after the current time, so the run loop never moves the clock
+        backwards.
+        """
         return self.queue.schedule(time, action)
 
     def schedule_in(self, delay: float, action: Callable[[], None]) -> EventHandle:
-        """Schedule ``action`` after ``delay`` seconds from now."""
-        return self.queue.schedule(self.now + delay, action)
+        """Schedule ``action`` after ``delay`` seconds from now.
+
+        Raises :class:`SchedulingError` for a negative ``delay``.
+        """
+        if delay < 0:
+            raise SchedulingError(f"cannot schedule with negative delay {delay!r}")
+        return self.queue.schedule(self.clock._now + delay, action)
 
     def _count_event(self, action: Callable[[], None]) -> None:
         """Count one dispatched event, labeled by callback qualname."""
@@ -97,7 +111,9 @@ class Simulator:
             Stop once the next event lies strictly beyond this time (the
             clock is left at ``until``).
         max_events:
-            Safety valve for tests; stop after this many events.
+            Safety valve for tests; stop after this many events. A run
+            cut short before ``until`` leaves the clock at the next
+            pending event instead, so the events it left stay runnable.
 
         Returns the number of events processed by this call.
 
@@ -107,23 +123,31 @@ class Simulator:
         counters and clock remain consistent — the failing event counts
         as processed, since it was dequeued and dispatched.
         """
-        processed = 0
+        # One loop over the heap: cancelled heads are dropped here, and
+        # the clock is set without a backwards check, since schedule_at /
+        # schedule_in admit no event before the current time.
+        heap = self.queue._heap
+        heappop = heapq.heappop
+        clock = self.clock
         metrics_on = self._metrics is not None
-        while True:
-            if max_events is not None and processed >= max_events:
+        horizon = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
+        processed = 0
+        while heap:
+            if processed >= limit:
                 break
-            next_time = self.queue.peek_time()
-            if next_time is None:
+            entry = heap[0]
+            if entry[_CANCELLED]:
+                heappop(heap)
+                continue
+            time = entry[_TIME]
+            if time > horizon:
                 break
-            if until is not None and next_time > until:
-                break
-            popped = self.queue.pop()
-            if popped is None:
-                break
-            time, action = popped
-            self.clock.advance_to(time)
+            heappop(heap)
+            clock._now = time
             processed += 1
             self._events_processed += 1
+            action = entry[_ACTION]
             if metrics_on:
                 self._count_event(action)
             try:
@@ -136,8 +160,13 @@ class Simulator:
                         f"t={time!r}"
                     )
                 raise
-        if until is not None and until > self.now:
-            self.clock.advance_to(until)
+        if until is not None and until > clock._now:
+            # A run cut short by max_events stops the clock at the first
+            # event it left behind, so that event stays runnable.
+            next_time = self.queue.peek_time()
+            if next_time is not None and next_time < until:
+                until = next_time
+            clock.advance_to(until)
         return processed
 
     def run_until_idle(self, max_events: Optional[int] = None) -> int:

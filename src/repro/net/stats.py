@@ -21,18 +21,15 @@ from repro.net.packets import Direction, Packet, PacketKind
 
 @dataclass
 class LinkStats:
-    """Counters for one link (both directions pooled unless split)."""
+    """Counters for one link (both directions pooled unless split).
+
+    :meth:`repro.net.link.Link.transmit` updates them in place, keyed
+    ``(kind, wire direction)``; ``bytes_sent`` is keyed by kind.
+    """
 
     transmissions: Counter = field(default_factory=Counter)
     natural_losses: Counter = field(default_factory=Counter)
     bytes_sent: Counter = field(default_factory=Counter)
-
-    def record_transmission(self, packet: Packet, direction: Direction) -> None:
-        self.transmissions[(packet.kind, direction)] += 1
-        self.bytes_sent[packet.kind] += packet.size
-
-    def record_natural_loss(self, packet: Packet, direction: Direction) -> None:
-        self.natural_losses[(packet.kind, direction)] += 1
 
     def total_transmissions(self) -> int:
         return sum(self.transmissions.values())

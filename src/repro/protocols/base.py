@@ -24,7 +24,7 @@ from repro.core.scoring import ScoreBoard
 from repro.crypto.keys import DEFAULT_KEY_SEED, KeyManager
 from repro.exceptions import ConfigurationError
 from repro.net.node import Node
-from repro.net.packets import DataPacket, Direction, Packet, PacketKind
+from repro.net.packets import ACK, REVERSE, DataPacket, Direction, Packet
 from repro.net.path import Path
 from repro.net.simulator import Simulator
 from repro.obs.registry import SIM_LATENCY_BUCKETS, get_registry
@@ -33,13 +33,29 @@ from repro.obs.registry import SIM_LATENCY_BUCKETS, get_registry
 TIMER_SLACK = 0.05
 
 
-class SourceAgent(Node):
+class Agent(Node):
+    """What every protocol agent shares: its protocol and parameters,
+    slack-padded wait-timers and the phase-1 freshness check."""
+
+    def __init__(self, protocol: "WireProtocol", position: int) -> None:
+        super().__init__(position=position)
+        self.protocol = protocol
+        self.params = protocol.params
+
+    def timer_with_slack(self, base: float, action) -> object:
+        """Arm a wait-timer of ``base`` seconds plus :data:`TIMER_SLACK`."""
+        return self.set_timer(base * (1.0 + TIMER_SLACK), action)
+
+    def is_fresh(self, packet: DataPacket) -> bool:
+        """Phase-1 timestamp check against this node's (skewed) clock."""
+        return self.clock.is_fresh(packet.timestamp, self.params.freshness_window)
+
+
+class SourceAgent(Agent):
     """Base source ``F_0 = S``: sends data, drives scoring."""
 
     def __init__(self, protocol: "WireProtocol") -> None:
-        super().__init__(position=0)
-        self.protocol = protocol
-        self.params = protocol.params
+        super().__init__(protocol, position=0)
         self.keys = protocol.keys
         if self.params.score_window is not None:
             from repro.core.windows import WindowedScoreBoard
@@ -132,9 +148,6 @@ class SourceAgent(Node):
 
     # -- helpers -----------------------------------------------------------
 
-    def timer_with_slack(self, base: float, action) -> object:
-        return self.set_timer(base * (1.0 + TIMER_SLACK), action)
-
     def observe_round(self, entry: Optional[Dict] = None) -> None:
         """Count a resolved observation round for the metrics registry.
 
@@ -151,15 +164,13 @@ class SourceAgent(Node):
                 self.obs_round_latency.observe(self.now - sent_at)
 
 
-class ForwarderAgent(Node):
+class ForwarderAgent(Agent):
     """Base intermediate node ``F_i``."""
 
     def __init__(self, protocol: "WireProtocol", position: int) -> None:
         if position <= 0:
             raise ConfigurationError("forwarder positions start at 1")
-        super().__init__(position=position)
-        self.protocol = protocol
-        self.params = protocol.params
+        super().__init__(protocol, position)
         #: MAC key shared with the source.
         self.mac_key = protocol.keys.mac_key(position)
         #: Authenticated-probe MAC failures observed at this node.
@@ -170,25 +181,16 @@ class ForwarderAgent(Node):
             path=str(protocol.path.path_id),
         )
 
-    def is_fresh(self, packet: DataPacket) -> bool:
-        """Phase-1 timestamp check against this node's (skewed) clock."""
-        return self.clock.is_fresh(packet.timestamp, self.params.freshness_window)
-
     def rtt_to_destination(self) -> float:
         """Worst-case ``r_i`` from here to the destination."""
         return self.params.rtt_bound(self.position)
 
-    def timer_with_slack(self, base: float, action) -> object:
-        return self.set_timer(base * (1.0 + TIMER_SLACK), action)
 
-
-class DestinationAgent(Node):
+class DestinationAgent(Agent):
     """Base destination ``F_d = D``."""
 
     def __init__(self, protocol: "WireProtocol") -> None:
-        super().__init__(position=protocol.params.path_length)
-        self.protocol = protocol
-        self.params = protocol.params
+        super().__init__(protocol, protocol.params.path_length)
         self.mac_key = protocol.keys.mac_key(self.position)
         self.obs_mac_failures = get_registry().counter(
             "protocol.node_mac_failures",
@@ -196,12 +198,6 @@ class DestinationAgent(Node):
             node=str(self.position),
             path=str(protocol.path.path_id),
         )
-
-    def is_fresh(self, packet: DataPacket) -> bool:
-        return self.clock.is_fresh(packet.timestamp, self.params.freshness_window)
-
-    def timer_with_slack(self, base: float, action) -> object:
-        return self.set_timer(base * (1.0 + TIMER_SLACK), action)
 
 
 class WireProtocol:
@@ -404,8 +400,8 @@ class WireProtocol:
 def is_e2e_ack(packet: Packet, direction: Direction) -> bool:
     """True for a plain end-to-end ack traveling toward the source."""
     return (
-        packet.kind is PacketKind.ACK
-        and direction is Direction.REVERSE
+        packet.kind is ACK
+        and direction is REVERSE
         and not getattr(packet, "is_report", False)
     )
 
@@ -413,7 +409,7 @@ def is_e2e_ack(packet: Packet, direction: Direction) -> bool:
 def is_report_ack(packet: Packet, direction: Direction) -> bool:
     """True for a report-carrying ack traveling toward the source."""
     return (
-        packet.kind is PacketKind.ACK
-        and direction is Direction.REVERSE
+        packet.kind is ACK
+        and direction is REVERSE
         and getattr(packet, "is_report", False)
     )

@@ -28,11 +28,13 @@ from repro.crypto.mac import mac, verify_mac
 from repro.crypto.onion import OnionReport, OnionVerifier
 from repro.exceptions import ConfigurationError
 from repro.net.packets import (
+    DATA,
+    FORWARD,
+    PROBE,
     AckPacket,
     DataPacket,
     Direction,
     Packet,
-    PacketKind,
     ProbePacket,
 )
 from repro.protocols.base import (
@@ -103,9 +105,9 @@ class OnionForwarder(ForwarderAgent):
     # -- packet handling ---------------------------------------------------
 
     def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if direction is Direction.FORWARD and packet.kind is PacketKind.DATA:
+        if direction is FORWARD and packet.kind is DATA:
             self._on_data(packet)
-        elif direction is Direction.FORWARD and packet.kind is PacketKind.PROBE:
+        elif direction is FORWARD and packet.kind is PROBE:
             self._on_probe(packet)
         elif is_e2e_ack(packet, direction):
             self._on_e2e_ack(packet)
@@ -209,9 +211,9 @@ class OnionDestination(DestinationAgent):
         self._ack_predicate = ack_predicate
 
     def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if direction is Direction.FORWARD and packet.kind is PacketKind.DATA:
+        if direction is FORWARD and packet.kind is DATA:
             self._on_data(packet)
-        elif direction is Direction.FORWARD and packet.kind is PacketKind.PROBE:
+        elif direction is FORWARD and packet.kind is PROBE:
             self._on_probe(packet)
 
     def _on_data(self, packet: DataPacket) -> None:

@@ -26,11 +26,13 @@ from repro.crypto.mac import mac, verify_mac
 from repro.crypto.oblivious import ObliviousDecoder, ObliviousReport
 from repro.crypto.sampling import SelectionPredicate, selected_node
 from repro.net.packets import (
+    DATA,
+    FORWARD,
+    PROBE,
     AckPacket,
     DataPacket,
     Direction,
     Packet,
-    PacketKind,
     ProbePacket,
 )
 from repro.protocols.base import (
@@ -193,9 +195,9 @@ class Paai2Forwarder(ForwarderAgent):
         self._hold = 1.5 * protocol.params.r0
 
     def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if direction is Direction.FORWARD and packet.kind is PacketKind.DATA:
+        if direction is FORWARD and packet.kind is DATA:
             self._on_data(packet)
-        elif direction is Direction.FORWARD and packet.kind is PacketKind.PROBE:
+        elif direction is FORWARD and packet.kind is PROBE:
             self._on_probe(packet)
         elif is_e2e_ack(packet, direction):
             self._on_e2e_ack(packet)
@@ -297,9 +299,9 @@ class Paai2Destination(DestinationAgent):
         self._hold = 1.5 * protocol.params.r0
 
     def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if direction is Direction.FORWARD and packet.kind is PacketKind.DATA:
+        if direction is FORWARD and packet.kind is DATA:
             self._on_data(packet)
-        elif direction is Direction.FORWARD and packet.kind is PacketKind.PROBE:
+        elif direction is FORWARD and packet.kind is PROBE:
             self._on_probe(packet)
 
     def _on_data(self, packet: DataPacket) -> None:

@@ -184,6 +184,34 @@ class TestCli:
         ]) == 0
         assert "false positive" in capsys.readouterr().out
 
+    def test_figure2_json_is_the_panel(self, capsys):
+        """``--json`` prints the panel's numbers and the engines behind
+        them, not the per-run conviction tensor, so its size does not
+        grow with runs x checkpoints."""
+        assert cli_main([
+            "figure2", "--protocol", "full-ack", "--runs", "600",
+            "--horizon", "300", "--json",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert len(out) < 16_000
+        payload = json.loads(out)
+        assert set(payload) == {
+            "protocol", "runs", "checkpoints", "curve",
+            "convergence_packets", "average_packets",
+            "theory_bound_packets", "sigma", "backend", "engines",
+            "fallback_reasons",
+        }
+        assert payload["protocol"] == "full-ack"
+        assert payload["runs"] == 600
+        assert payload["checkpoints"][-1] == 300
+        assert set(payload["curve"]) == {"fp_rates", "fn_rates"}
+        assert len(payload["curve"]["fp_rates"]) == len(payload["checkpoints"])
+        assert 0 < payload["average_packets"] <= 300
+        assert payload["theory_bound_packets"] > 0
+        assert payload["backend"] == "model"
+        assert payload["engines"] == {"model": 600}
+        assert payload["fallback_reasons"] == []
+
     def test_ablation_corollary3(self, capsys):
         assert cli_main(["ablation", "corollary3"]) == 0
         assert "Corollary 3" in capsys.readouterr().out

@@ -182,3 +182,45 @@ class TestSimulator:
         sim.schedule_at(1.0, lambda: None)
         sim.run()
         assert sim.events_processed == 2
+
+    def test_schedule_at_before_now_refused(self):
+        """A past time fails at the call, before any other event runs,
+        not later at dispatch."""
+        sim = Simulator()
+        sim.schedule_at(2.0, lambda: None)
+        sim.run()
+        with pytest.raises(SchedulingError):
+            sim.schedule_at(1.5, lambda: None)
+        sim.schedule_at(2.0, lambda: None)  # now itself is allowed
+        assert sim.run() == 1
+
+    def test_schedule_in_negative_delay_refused(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(SchedulingError):
+            sim.schedule_in(-0.5, lambda: None)
+        sim.schedule_in(0.0, lambda: None)
+        assert sim.run() == 1
+
+    def test_cancelled_events_skipped(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule_at(1.0, lambda: fired.append(1))
+        sim.schedule_at(2.0, lambda: fired.append(2))
+        handle.cancel()
+        assert sim.run() == 1
+        assert fired == [2]
+        assert sim.events_processed == 1
+
+    def test_max_events_before_until_keeps_rest_runnable(self):
+        """A run cut by ``max_events`` leaves the clock at the next
+        pending event, so a later run dispatches the rest in order."""
+        sim = Simulator()
+        fired = []
+        for i in range(5):
+            sim.schedule_at(float(i), lambda i=i: fired.append(i))
+        assert sim.run(until=10.0, max_events=2) == 2
+        assert sim.now == 2.0
+        assert sim.run(until=10.0) == 3
+        assert fired == [0, 1, 2, 3, 4]
+        assert sim.now == 10.0
