@@ -16,24 +16,21 @@ or ``time.time()`` in an agent silently breaks reproducibility. This
 package codifies the invariants as machine-checked rules:
 
 * :mod:`repro.audit.engine` — AST rule engine: per-file module contexts,
-  qualified-name resolution through import tables, findings with
-  severity, and ``# repro: allow(<rule-id>)`` suppression comments;
+  qualified-name resolution through import tables, findings, and
+  ``# repro: allow(<rule-id>)`` suppression comments, the one way to
+  excuse a finding;
 * :mod:`repro.audit.graph` — the whole-program layer: per-module
   call-graph facts, the assembled :class:`ProjectIndex`, and BFS
   sink-chain search, which the call-chain rules
   (:mod:`repro.audit.rules_interproc`) walk from every function;
 * :mod:`repro.audit.rules_determinism`, :mod:`~repro.audit.rules_crypto`,
   :mod:`~repro.audit.rules_iteration`, :mod:`~repro.audit.rules_rngflow`,
-  :mod:`~repro.audit.rules_interproc` and the others — the rule families
-  (see ``docs/AUDIT.md`` for the catalogue);
-* :mod:`repro.audit.baseline` — fingerprinted baseline files that
-  grandfather deliberate exceptions while new findings still fail CI;
-* :mod:`repro.audit.sarif` — SARIF 2.1.0 export for GitHub code
-  scanning (``audit --sarif``);
-* :mod:`repro.audit.cli` — ``repro-aai audit`` / ``python -m repro.audit``.
+  :mod:`~repro.audit.rules_faults` — the rule families (see
+  ``docs/AUDIT.md`` for the catalogue); every rule is an error;
+* :mod:`repro.audit.cli` — ``repro-aai audit`` / ``python -m repro.audit``,
+  which exits non-zero on any finding.
 """
 
-from repro.audit.baseline import load_baseline, write_baseline
 from repro.audit.catalog import all_rules, find_rule, known_rule_ids
 from repro.audit.engine import (
     Finding,
@@ -43,7 +40,6 @@ from repro.audit.engine import (
     audit_source,
 )
 from repro.audit.graph import ProjectIndex
-from repro.audit.sarif import to_sarif, write_sarif
 
 __all__ = [
     "Finding",
@@ -55,8 +51,4 @@ __all__ = [
     "audit_source",
     "find_rule",
     "known_rule_ids",
-    "load_baseline",
-    "to_sarif",
-    "write_baseline",
-    "write_sarif",
 ]

@@ -14,21 +14,19 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.audit import (
     rules_crypto,
     rules_determinism,
-    rules_fastpath,
     rules_faults,
     rules_interproc,
     rules_iteration,
-    rules_obs,
     rules_rngflow,
 )
 from repro.audit.engine import PARSE_ERROR, UNKNOWN_SUPPRESSION, Rule
 
 #: Meta findings emitted by the engine itself rather than a Rule —
-#: (id, severity, summary) for ``--list-rules`` and docs.
-META_RULES: Tuple[Tuple[str, str, str], ...] = (
-    (UNKNOWN_SUPPRESSION, "error",
+#: (id, summary) for ``--list-rules`` and docs.
+META_RULES: Tuple[Tuple[str, str], ...] = (
+    (UNKNOWN_SUPPRESSION,
      "a `# repro: allow(...)` comment names an unknown rule id"),
-    (PARSE_ERROR, "error", "file does not parse / cannot be read"),
+    (PARSE_ERROR, "file does not parse / cannot be read"),
 )
 
 #: The rule modules, in the order their findings are documented.
@@ -37,8 +35,6 @@ _RULE_MODULES = (
     rules_crypto,
     rules_faults,
     rules_iteration,
-    rules_fastpath,
-    rules_obs,
     rules_rngflow,
     rules_interproc,
 )
@@ -55,7 +51,7 @@ def all_rules() -> List[Rule]:
 def known_rule_ids() -> Set[str]:
     """Every id that may appear in findings or suppressions."""
     ids = {rule.id for rule in all_rules()}
-    ids.update(meta_id for meta_id, _, _ in META_RULES)
+    ids.update(meta_id for meta_id, _ in META_RULES)
     return ids
 
 
@@ -64,34 +60,6 @@ def find_rule(rule_id: str) -> Optional[Rule]:
         if rule.id == rule_id:
             return rule
     return None
-
-
-def select_rules(
-    select: Optional[List[str]] = None,
-    ignore: Optional[List[str]] = None,
-) -> List[Rule]:
-    """The catalogue narrowed by ``--select``/``--ignore`` id lists.
-
-    Unknown ids raise ``KeyError`` listing the offenders — the CLI turns
-    that into exit code 2 so a typo cannot silently audit nothing.
-    """
-    known = known_rule_ids()
-    unknown = sorted(
-        {rule_id for rule_id in [*(select or []), *(ignore or [])]} - known
-    )
-    if unknown:
-        raise KeyError(
-            f"unknown rule id(s): {', '.join(unknown)} "
-            "(see `repro-aai audit --list-rules`)"
-        )
-    rules = all_rules()
-    if select:
-        wanted = set(select)
-        rules = [rule for rule in rules if rule.id in wanted]
-    if ignore:
-        dropped = set(ignore)
-        rules = [rule for rule in rules if rule.id not in dropped]
-    return rules
 
 
 def family_docs() -> Dict[str, str]:
@@ -123,11 +91,10 @@ def render_rule_listing() -> str:
         if docs.get(family):
             lines.append(f"   {docs[family]}")
         for rule in sorted(by_family[family], key=lambda rule: rule.id):
-            lines.append(f"{rule.id}  [{rule.severity:7s}]  ({rule.family}) "
-                         f"{rule.summary}")
+            lines.append(f"{rule.id}  ({rule.family}) {rule.summary}")
             lines.append(f"        {rule.rationale}")
         lines.append("")
     lines.append("== engine ==")
-    for meta_id, severity, summary in META_RULES:
-        lines.append(f"{meta_id}  [{severity:7s}]  (engine) {summary}")
+    for meta_id, summary in META_RULES:
+        lines.append(f"{meta_id}  (engine) {summary}")
     return "\n".join(lines)

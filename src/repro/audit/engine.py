@@ -1,7 +1,7 @@
 """AST rule engine: module contexts, findings, suppressions.
 
 The engine parses each audited file once, builds a :class:`ModuleContext`
-(source lines, import table, dotted module name, suppression comments) and
+(syntax tree, import table, dotted module name, suppression comments) and
 hands it to every registered :class:`Rule`. Rules walk the AST and emit
 :class:`Finding` objects; the engine filters findings suppressed by
 ``# repro: allow(<rule-id>)`` comments on the finding's line and reports
@@ -26,16 +26,12 @@ scoped rules without living inside ``src/``.
 from __future__ import annotations
 
 import ast
-import hashlib  # repro: allow(CB001) -- finding fingerprints, not crypto
 import io
 import os
 import re
 import tokenize
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
-
-#: Severity levels, in gate order: only ``error`` findings fail the gate.
-SEVERITIES = ("error", "warning")
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\(\s*([^)]*?)\s*\)")
 _MODULE_PRAGMA_RE = re.compile(r"#\s*repro:\s*module\s*=\s*([\w.]+)")
@@ -54,29 +50,9 @@ class Finding:
     line: int
     col: int
     message: str
-    severity: str = "error"
-    line_text: str = ""
-    #: Set after baseline comparison: an old, grandfathered finding.
-    baselined: bool = False
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Hashes the rule, the file, and the *text* of the offending line
-        (not its number), so findings survive unrelated edits that shift
-        line numbers but die when the offending line itself changes.
-        """
-        material = f"{self.rule}:{self.path}:{self.line_text.strip()}"
-        digest = hashlib.sha256(material.encode()).hexdigest()
-        return digest[:16]
 
     def render(self) -> str:
-        tail = " [baselined]" if self.baselined else ""
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} [{self.severity}] {self.message}{tail}"
-        )
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 class Rule:
@@ -89,7 +65,6 @@ class Rule:
 
     id: str = ""
     family: str = ""
-    severity: str = "error"
     summary: str = ""
     rationale: str = ""
 
@@ -97,15 +72,12 @@ class Rule:
         raise NotImplementedError
 
     def finding(self, ctx: "ModuleContext", node: ast.AST, message: str) -> Finding:
-        line = getattr(node, "lineno", 1)
         return Finding(
             rule=self.id,
             path=ctx.path,
-            line=line,
+            line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
-            severity=self.severity,
-            line_text=ctx.line(line),
         )
 
 
@@ -135,7 +107,6 @@ class ModuleContext:
     def __init__(self, path: str, source: str, module: Optional[str] = None) -> None:
         self.path = path
         self.source = source
-        self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=path)
         #: ``{lineno: comment text}`` — actual COMMENT tokens, so prose
         #: *about* suppressions inside docstrings never activates one.
@@ -152,11 +123,6 @@ class ModuleContext:
             if match:
                 return match.group(1)
         return None
-
-    def line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
 
     def in_module(self, *prefixes: str) -> bool:
         """True when this file's module falls under any dotted prefix."""
@@ -292,8 +258,6 @@ def parse_suppressions(
                             f"suppression names unknown rule id {rule_id!r} "
                             "(see `repro-aai audit --list-rules`)"
                         ),
-                        severity="error",
-                        line_text=ctx.line(lineno),
                     )
                 )
         suppressions.by_line[lineno] = ids & known_ids
@@ -327,8 +291,8 @@ def collect_files(paths: Sequence[str]) -> List[str]:
 
 
 def _display_path(path: str, root: Optional[str]) -> str:
-    """Posix-style path relative to ``root`` (baseline fingerprints need
-    paths that are stable across checkouts and operating systems)."""
+    """Posix-style path relative to ``root``, so findings read the same
+    across checkouts and operating systems."""
     if root:
         try:
             path = os.path.relpath(path, root)
@@ -370,15 +334,16 @@ def analyze_source(
     diagnostics. Only per-file rules run here — project rules need the
     assembled index (:func:`run_project_rules`).
     """
+    from repro.audit.catalog import all_rules, known_rule_ids
     from repro.audit.graph import ModuleFacts, extract_facts
 
     if rules is None:
-        from repro.audit.catalog import all_rules
-
         rules = all_rules()
     file_rules, _ = split_rules(rules)
     display = display_path or path
-    known = known_ids_for(rules)
+    # Suppressions are checked against the whole catalogue, so a run
+    # with a narrowed rule list still accepts every valid id.
+    known = known_rule_ids()
     try:
         ctx = ModuleContext(path, source, module=module)
     except SyntaxError as exc:
@@ -405,21 +370,6 @@ def analyze_source(
     return FileAnalysis(
         path=display, module=ctx.module, findings=findings, facts=facts
     )
-
-
-def known_ids_for(rules: Sequence[Rule]) -> Set[str]:
-    """Rule ids suppressions may legitimately name under ``rules``.
-
-    Uses the full catalogue whenever the caller did not narrow the rule
-    set explicitly via ids — an ``--select DET005`` run must not report
-    AUD001 for a perfectly valid ``# repro: allow(RNG002)`` elsewhere.
-    """
-    try:
-        from repro.audit.catalog import known_rule_ids
-
-        return known_rule_ids() | {rule.id for rule in rules}
-    except ImportError:  # pragma: no cover - catalogue always importable
-        return {rule.id for rule in rules} | {UNKNOWN_SUPPRESSION, PARSE_ERROR}
 
 
 def run_project_rules(
@@ -526,13 +476,3 @@ def audit_paths(
     findings.extend(run_project_rules(analyses, project_rules))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-def apply_baseline(
-    findings: Iterable[Finding], fingerprints: Set[str]
-) -> List[Finding]:
-    """Mark findings whose fingerprint appears in the baseline."""
-    return [
-        replace(finding, baselined=finding.fingerprint in fingerprints)
-        for finding in findings
-    ]

@@ -53,7 +53,6 @@ class CallSite:
     target: str
     lineno: int
     col: int
-    line_text: str
 
 
 @dataclass
@@ -65,7 +64,6 @@ class FunctionNode:
     name: str
     cls: Optional[str]
     lineno: int
-    line_text: str
     #: Call edges (resolved against the project by :class:`ProjectIndex`).
     calls: List[CallSite] = field(default_factory=list)
     #: Every maximal import-rooted dotted name used, called or not
@@ -132,7 +130,6 @@ def extract_facts(ctx, allowed: Optional[Dict[int, Set[str]]] = None) -> ModuleF
         name=MODULE_BODY,
         cls=None,
         lineno=1,
-        line_text=ctx.line(1),
     )
     _collect(ctx, ctx.tree, body_node, owned)
     if body_node.calls or body_node.uses:
@@ -154,7 +151,6 @@ def _function_node(ctx, node, cls: Optional[str], owned: Set[int]) -> FunctionNo
         name=node.name,
         cls=cls,
         lineno=node.lineno,
-        line_text=ctx.line(node.lineno),
     )
     # Default-argument expressions evaluate at def time in the enclosing
     # scope, but a sink used there still executes — attribute them too.
@@ -195,7 +191,6 @@ def _site(ctx, node: ast.AST, kind: str, target: str) -> CallSite:
         target=target,
         lineno=node.lineno,
         col=node.col_offset + 1,
-        line_text=ctx.line(node.lineno),
     )
 
 

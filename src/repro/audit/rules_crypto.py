@@ -41,7 +41,6 @@ class StdlibCryptoImportRule(Rule):
 
     id = "CB001"
     family = "crypto-boundary"
-    severity = "error"
     summary = "stdlib `hashlib`/`hmac` import outside `repro.crypto`"
     rationale = (
         "The paper's protocols are specified in terms of the from-scratch "
@@ -113,7 +112,6 @@ class KeyRoleCrossUseRule(Rule):
 
     id = "CB002"
     family = "crypto-boundary"
-    severity = "error"
     summary = "MAC/encryption subkey used in the opposite role"
     rationale = (
         "§3.3 derives role-separated subkeys from each pairwise master "

@@ -108,7 +108,6 @@ class ModuleRngStateRule(Rule):
 
     id = "DET002"
     family = "determinism"
-    severity = "error"
     summary = "RNG instance created at module scope"
     rationale = (
         "A `random.Random()` / `numpy.random.default_rng()` bound at "

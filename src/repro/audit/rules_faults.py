@@ -56,7 +56,6 @@ class SilentSwallowRule(Rule):
 
     id = "FI001"
     family = "faults"
-    severity = "error"
     summary = "bare/blanket `except` silently swallows all exceptions"
     rationale = (
         "`except:`/`except Exception:` with a pass/.../continue body hides "

@@ -51,7 +51,6 @@ class _ChainRule(ProjectRule):
     """Shared walk: one subclass per sink family."""
 
     family = "interproc"
-    severity = "error"
     #: Module prefixes whose functions start a walk; ``None`` = every file.
     start_scope: Optional[tuple] = None
     #: Message tail for a length-0 finding: "`<sink>` <does>".
@@ -79,8 +78,6 @@ class _ChainRule(ProjectRule):
                     line=anchor.lineno,
                     col=anchor.col,
                     message=self._message(chain, sink, holder),
-                    severity=self.severity,
-                    line_text=anchor.line_text,
                 )
 
     def _message(self, chain: List[str], sink: CallSite, holder: FunctionNode) -> str:

@@ -5,25 +5,20 @@ iteration order of a ``set`` of strings differs between the parent and a
 pool worker. A loop over a set that appends to results, emits report
 rows, or consumes RNG draws therefore produces different output — or the
 same output with a differently-advanced RNG stream — depending on which
-process ran it. ``dict`` iteration is insertion-ordered and thus safe
-*per se*, but in the experiment fan-out/merge paths the insertion order
-itself often comes from completion order, so dict-view loops there get a
-warning nudge toward an explicit ``sorted(...)``.
+process ran it. ``dict`` iteration is insertion-ordered, so dict loops
+are not flagged; the ``--jobs`` merges that fill dicts are pinned byte
+for byte by the jobs-invariance gate instead.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.audit.engine import Finding, ModuleContext, Rule
 
 #: Order-sensitive consumers of a single iterable argument.
 _ORDER_SENSITIVE_CALLS = frozenset({"list", "tuple", "enumerate"})
-
-#: Experiment fan-out/merge paths where dict insertion order is itself
-#: often nondeterministic (completion order, merged worker snapshots).
-EXPERIMENT_SCOPE = ("repro.experiments", "repro.parallel", "repro.mc")
 
 
 def _is_unordered(node: ast.AST, ctx: ModuleContext) -> bool:
@@ -63,7 +58,6 @@ class UnorderedSetIterationRule(Rule):
 
     id = "ITER001"
     family = "iteration-order"
-    severity = "error"
     summary = "iteration over a `set`/`frozenset` (hash-order dependent)"
     rationale = (
         "Set iteration order depends on PYTHONHASHSEED for strings, so a "
@@ -85,50 +79,4 @@ class UnorderedSetIterationRule(Rule):
                 )
 
 
-class DictViewIterationRule(Rule):
-    """ITER002 — dict-view loops in experiment fan-out/merge paths."""
-
-    id = "ITER002"
-    family = "iteration-order"
-    severity = "warning"
-    summary = "dict-view iteration in experiment fan-out/merge code"
-    rationale = (
-        "Dict iteration follows insertion order, but in the parallel "
-        "fan-out/merge paths insertion order frequently *is* completion "
-        "order (futures, checkpoint records, merged worker snapshots). "
-        "An explicit `sorted(...)` documents — and enforces — the order "
-        "results are reassembled in."
-    )
-
-    _VIEWS = frozenset({"values", "items", "keys"})
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.in_module(*EXPERIMENT_SCOPE):
-            return
-        for site in _iteration_sites(ctx.tree):
-            method = self._view_call(site)
-            if method is not None:
-                yield self.finding(
-                    ctx,
-                    site,
-                    f"iterating `.{method}()` in an experiment path; "
-                    "wrap in `sorted(...)` if the dict was filled in "
-                    "completion order",
-                )
-
-    def _view_call(self, node: ast.AST) -> Optional[str]:
-        if (
-            isinstance(node, ast.Call)
-            and not node.args
-            and not node.keywords
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in self._VIEWS
-        ):
-            return node.func.attr
-        return None
-
-
-RULES: List[Rule] = [
-    UnorderedSetIterationRule(),
-    DictViewIterationRule(),
-]
+RULES: List[Rule] = [UnorderedSetIterationRule()]

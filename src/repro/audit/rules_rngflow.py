@@ -12,9 +12,8 @@ of the seed schedule. Two failure modes silently corrupt it:
   trials are precisely what invalidates the paper's Hoeffding-bound
   guarantees (§7) without failing a single equality test.
 
-The contract these rules encode: every stream/spawn key is built from
-literals, loop indices, parameters, and already-derived values — nothing
-else — and is unique per module. The fastpath engine deliberately
+The contract these rules encode: no stream/spawn key reads ambient
+state, and every constant key is unique per module. The fastpath engine deliberately
 *reconstructs* streams under the event engine's labels, which is why
 duplicate detection is scoped per module, not project-wide.
 
@@ -57,13 +56,6 @@ _NAMESPACE = {
     "spawn": "spawn",
     "nonce_source": "nonce",
 }
-
-#: Builtins considered pure/deterministic inside a label expression.
-_PURE_BUILTINS = frozenset(
-    {"str", "int", "float", "bool", "len", "abs", "min", "max", "format",
-     "ord", "chr", "repr", "round", "sorted", "tuple", "list", "zip",
-     "enumerate", "range", "sum"}
-)
 
 #: Builtins whose value depends on interpreter state, not inputs.
 _IMPURE_BUILTINS = frozenset({"id", "hash", "object", "vars", "globals", "locals"})
@@ -120,42 +112,11 @@ def _constant_label(expr: ast.AST) -> Optional[str]:
     return None
 
 
-def _derivable(ctx: ModuleContext, expr: ast.AST) -> bool:
-    """True when a label expression is built only from allowed material.
-
-    Allowed: literals, names (parameters, loop indices, locals),
-    attribute/subscript reads, arithmetic/concatenation over allowed
-    parts, f-strings of allowed parts, and calls to pure builtins or
-    string methods (``format``/``join``/``zfill``...). A call to anything
-    else makes provenance statically unknowable.
-    """
-    for node in ast.walk(expr):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name):
-            if func.id in _PURE_BUILTINS:
-                continue
-            return False
-        if isinstance(func, ast.Attribute):
-            # String-method calls (`"x-{}".format(i)`, `sep.join(parts)`)
-            # keep provenance; arbitrary method calls do not.
-            if ctx.resolve(func) is None and func.attr in {
-                "format", "join", "zfill", "lower", "upper", "replace",
-                "strip", "lstrip", "rstrip",
-            }:
-                continue
-            return False
-        return False
-    return True
-
-
 class LabelEntropyRule(Rule):
     """RNG001 — a stream label interpolates nondeterministic state."""
 
     id = "RNG001"
     family = "rng-flow"
-    severity = "error"
     summary = "RNG stream label built from nondeterministic state"
     rationale = (
         "Stream labels are part of the seed schedule: interpolating a "
@@ -188,7 +149,6 @@ class DuplicateLabelRule(Rule):
 
     id = "RNG002"
     family = "rng-flow"
-    severity = "error"
     summary = "duplicate RNG stream label within one module"
     rationale = (
         "Two call sites deriving the same label draw from the *same* "
@@ -220,44 +180,4 @@ class DuplicateLabelRule(Rule):
                 first_use[key] = call.lineno
 
 
-class OpaqueLabelRule(Rule):
-    """RNG003 — a stream label whose provenance is statically unknowable."""
-
-    id = "RNG003"
-    family = "rng-flow"
-    severity = "warning"
-    summary = "RNG stream label with statically unknowable provenance"
-    rationale = (
-        "A label produced by an arbitrary call (`factory.stream("
-        "make_label())`) cannot be audited for determinism or "
-        "uniqueness. Thread the constituent parts (indices, names, "
-        "derived seeds) into the label expression directly so RNG001/"
-        "RNG002 can see them; genuinely safe constructions carry an "
-        "inline `# repro: allow(RNG003)`."
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.is_repro_module:
-            return
-        for call, method, label in _label_sites(ctx):
-            if _nondeterministic_in(ctx, label):
-                continue  # RNG001's finding; do not double-report.
-            if not _derivable(ctx, label):
-                yield self.finding(
-                    ctx,
-                    call,
-                    f"`{method}()` label provenance is not statically "
-                    "derivable; build labels from literals, indices, and "
-                    "derived seeds",
-                )
-
-
-def _nondeterministic_in(ctx: ModuleContext, expr: ast.AST) -> bool:
-    return any(
-        isinstance(sub, ast.Call)
-        and _nondeterministic_call(ctx, sub) is not None
-        for sub in ast.walk(expr)
-    )
-
-
-RULES = (LabelEntropyRule(), DuplicateLabelRule(), OpaqueLabelRule())
+RULES = (LabelEntropyRule(), DuplicateLabelRule())

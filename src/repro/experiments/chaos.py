@@ -191,8 +191,8 @@ class ChaosReport:
         ]
         for cell in self.cells:
             faults_total = sum(
-                sum(counts.values())  # repro: allow(ITER002) -- order-free sum
-                for counts in cell.faults_seen.values()  # repro: allow(ITER002)
+                sum(counts.values())
+                for counts in cell.faults_seen.values()
             )
             injected_total = sum(cell.injected.values())
             verdict = "OK" if cell.ok else (

@@ -302,7 +302,7 @@ class CoinTable:
         if start < horizon:
             parts = [rows]
             # One pass per COIN_CHUNK rounds, not per round.
-            for begin in range(start, horizon, COIN_CHUNK):  # repro: allow(FP001)
+            for begin in range(start, horizon, COIN_CHUNK):
                 sequences = range(begin, min(begin + COIN_CHUNK, horizon))
                 identifiers = packet_identifiers(
                     [b"data-%016d" % sequence for sequence in sequences],

@@ -10,129 +10,43 @@ packet either way). The cost is storage: nodes cannot tell sampled
 packets apart, and a probe may now arrive a full extra ``r_0`` later (the
 source's ack wait), so every node holds state correspondingly longer
 (Table 1's ``O(r_0 (0.5 + 2p) ν)`` row).
+
+For a sampled packet the source runs full-ack's ack/probe/report
+lifecycle unchanged, degraded-mode accounting and probe retries
+included; unsampled packets are not tracked at all.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.core.estimators import DirectEstimator
-from repro.core.monitor import EndToEndMonitor
 from repro.crypto.keys import derive_key
-from repro.crypto.mac import verify_mac
-from repro.crypto.onion import OnionVerifier
 from repro.crypto.sampling import SecureSampler
-from repro.net.packets import AckPacket, DataPacket, Direction, Packet
-from repro.protocols.base import (
-    SourceAgent,
-    WireProtocol,
-    is_e2e_ack,
-    is_report_ack,
-)
-from repro.protocols.onion_common import (
-    OnionDestination,
-    OnionForwarder,
-    build_probe,
-    effective_onion_depth,
-)
+from repro.net.packets import DataPacket
+from repro.protocols.base import WireProtocol
+from repro.protocols.fullack import FullAckSource
+from repro.protocols.onion_common import OnionDestination, OnionForwarder
 
 #: Role label for the sampling key derived from the S-D pairwise key.
 SAMPLING_ROLE = "combo-sampling"
 
 
-class Combo1Source(SourceAgent):
-    """Source agent for Combination 1."""
+class Combo1Source(FullAckSource):
+    """Source agent for Combination 1: full-ack on the sampled packets."""
 
     def __init__(self, protocol: "Combination1Protocol") -> None:
         super().__init__(protocol)
-        d = self.params.path_length
-        self.verifier = OnionVerifier(self.keys.all_mac_keys())
-        self.monitor = EndToEndMonitor(self.params.psi_threshold)
         # Sampling key derived from the pairwise key with D: both ends can
         # evaluate it, nobody else can.
         self.sampler = SecureSampler(
-            derive_key(self.keys.master_key(d), SAMPLING_ROLE),
+            derive_key(self.keys.master_key(self.params.path_length), SAMPLING_ROLE),
             self.params.probe_frequency,
         )
-        self._dest_mac_key = self.keys.mac_key(d)
-        self._estimator = DirectEstimator(self.board)
-
-    # -- sending --------------------------------------------------------------
 
     def _after_send(self, packet: DataPacket) -> None:
-        if not self.sampler.is_sampled(packet.identifier):
-            return
         identifier = packet.identifier
-        self.monitor.record_sent()
+        if not self.sampler.is_sampled(identifier):
+            return
         self.obs_sampling_hits.inc()
-        self.pending[identifier] = {
-            "sequence": packet.sequence,
-            "probed": False,
-            "handle": self.timer_with_slack(
-                self.params.r0, lambda: self._on_ack_timeout(identifier)
-            ),
-        }
-
-    # -- receiving --------------------------------------------------------------
-
-    def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if is_e2e_ack(packet, direction):
-            self._on_e2e_ack(packet)
-        elif is_report_ack(packet, direction):
-            self._on_report(packet)
-
-    def _on_e2e_ack(self, ack: AckPacket) -> None:
-        entry = self.pending.get(ack.identifier)
-        if entry is None or entry["probed"]:
-            return
-        if not verify_mac(self._dest_mac_key, ack.identifier, ack.report):
-            self.obs_mac_failures.inc()
-            return
-        entry["handle"].cancel()
-        self.pending.pop(ack.identifier)
-        self.monitor.record_acknowledged()
-        self.obs_acks_verified.inc()
-        self.board.record_round()  # sampled, delivered, no blame
-        self.observe_round(entry)
-
-    def _on_ack_timeout(self, identifier: bytes) -> None:
-        entry = self.pending.get(identifier)
-        if entry is None:
-            return
-        entry["probed"] = True
-        probe = build_probe(self.protocol, identifier, entry["sequence"])
-        self.path.stats.record_overhead(probe)
-        self.send_forward(probe)
-        self.obs_probes_sent.inc()
-        entry["handle"] = self.timer_with_slack(
-            self.params.r0, lambda: self._on_report_timeout(identifier)
-        )
-
-    def _on_report(self, ack: AckPacket) -> None:
-        entry = self.pending.get(ack.identifier)
-        if entry is None or not entry["probed"]:
-            return
-        entry["handle"].cancel()
-        self.pending.pop(ack.identifier)
-        depth = effective_onion_depth(self.verifier, ack.report, ack.identifier)
-        if depth < self.params.path_length:
-            self.board.add(depth)
-        self.board.record_round()
-        self.observe_round(entry)
-
-    def _on_report_timeout(self, identifier: bytes) -> None:
-        entry = self.pending.pop(identifier, None)
-        if entry is None:
-            return
-        self.obs_report_timeouts.inc()
-        self.board.add(0)
-        self.board.record_round()
-        self.observe_round(entry)
-
-    # -- verdicts --------------------------------------------------------------
-
-    def estimates(self) -> List[float]:
-        return self._estimator.estimates()
+        self._await_ack(packet, lambda: self._on_ack_timeout(identifier))
 
 
 class Combination1Protocol(WireProtocol):

@@ -51,13 +51,19 @@ class FullAckSource(SourceAgent):
 
     def _after_send(self, packet: DataPacket) -> None:
         identifier = packet.identifier
+        self._await_ack(packet, lambda: self._on_ack_timeout(identifier))
+
+    def _await_ack(self, packet: DataPacket, on_timeout) -> None:
+        """Track ``packet`` until its e2e ack, or ``on_timeout`` after r0.
+
+        Callers build ``on_timeout`` in their own ``_after_send``: the
+        event counters label each timer by its callback's qualname.
+        """
         self.monitor.record_sent()
-        entry = self.pending.setdefault(identifier, {})
+        entry = self.pending.setdefault(packet.identifier, {})
         entry["sequence"] = packet.sequence
         entry["probed"] = False
-        entry["handle"] = self.timer_with_slack(
-            self.params.r0, lambda: self._on_ack_timeout(identifier)
-        )
+        entry["handle"] = self.timer_with_slack(self.params.r0, on_timeout)
 
     # -- receiving ------------------------------------------------------------
 

@@ -1,5 +1,5 @@
 # repro: module=repro.net.fake_rngflow
-"""Fixture: every rng-flow rule (RNG001-RNG003) must fire here.
+"""Fixture: every rng-flow rule (RNG001, RNG002) must fire here.
 
 Never imported — read as data by tests/unit/test_audit_rules.py.
 """
@@ -28,8 +28,3 @@ def tainted_by_pid(rng):
 def tainted_by_identity(rng, node):
     # `id(...)` varies across runs: label entropy in disguise.
     return rng.stream("node-" + str(id(node)))
-
-
-def opaque(rng, node):
-    # Provenance statically unknowable: audit cannot prove uniqueness.
-    return rng.stream(node.make_label())

@@ -1,5 +1,5 @@
 # repro: module=repro.net.fake_rngflow_ok
-"""Fixture: rng-flow twin — derived, unique, or excused labels only."""
+"""Fixture: rng-flow twin — derived, unique labels only."""
 
 
 def independent_routes(factory, count):
@@ -22,10 +22,6 @@ def cross_namespace(factory):
     child = factory.spawn("alpha")
     nonces = factory.nonce_source("alpha")
     return stream, child, nonces
-
-
-def excused(rng, registry):
-    return rng.stream(registry.unique_label())  # repro: allow(RNG003)
 
 
 def unrelated_receiver(schedule):

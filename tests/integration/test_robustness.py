@@ -11,9 +11,11 @@ cell to completion with zero false accusations on benign schedules.
 
 import json
 import os
+import random
 
 import pytest
 
+from repro.adversary.uniform import UniformDropper
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError, TaskRetryError
 from repro.experiments import runner
@@ -207,8 +209,8 @@ class TestCorruptCheckpoints:
 
 
 class TestDegradedAckHandling:
-    def _protocol(self, name, seed=0):
-        params = ProtocolParams(natural_loss=0.0)
+    def _protocol(self, name, seed=0, **overrides):
+        params = ProtocolParams(natural_loss=0.0, **overrides)
         simulator = Simulator(seed=seed)
         return simulator, make_protocol(name, simulator, params)
 
@@ -216,9 +218,12 @@ class TestDegradedAckHandling:
         ("full-ack", "ack_mac_failure"),
         ("paai2", "ack_mac_failure"),
         ("sig-ack", "ack_signature_failure"),
+        ("combo1", "ack_mac_failure"),
     ])
     def test_malformed_ack_is_counted_and_dropped(self, name, fault):
-        simulator, protocol = self._protocol(name)
+        # combo1 acks only sampled packets; sample every one.
+        extra = {"probe_frequency": 1.0} if name == "combo1" else {}
+        simulator, protocol = self._protocol(name, **extra)
         packet = protocol.source.send_data()
         forged = AckPacket.create(
             identifier=packet.identifier,
@@ -244,6 +249,25 @@ class TestDegradedAckHandling:
         protocol.source.deliver(forged, Direction.REVERSE)
         assert protocol.source.fault_counts["ack_mac_failure"] == 1
         assert packet.identifier in protocol.source.pending
+
+    @pytest.mark.parametrize("name", ["full-ack", "paai1", "combo1"])
+    def test_probe_retries_resend_probes_under_a_black_hole(self, name):
+        """``probe_retries`` re-sends an unanswered probe before the round
+        is scored (docs/ROBUSTNESS.md); F3 drops everything, so every
+        probe goes unanswered."""
+
+        def probes(retries):
+            params = ProtocolParams(probe_frequency=1.0, probe_retries=retries)
+            simulator = Simulator(seed=1)
+            protocol = make_protocol(
+                name, simulator, params,
+                adversaries={3: UniformDropper(1.0, random.Random(0))},
+            )
+            protocol.run_traffic(count=50, rate=1000.0)
+            return protocol.path.stats.overhead_packets[PacketKind.PROBE]
+
+        assert probes(0) == 50
+        assert probes(2) > probes(0)
 
     def test_replayed_ack_never_raises_or_double_counts(self):
         simulator, protocol = self._protocol("full-ack")

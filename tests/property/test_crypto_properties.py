@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the crypto substrate."""
 
-import hashlib
-import hmac as stdlib_hmac
+import hashlib  # repro: allow(CB001) -- stdlib reference
+import hmac as stdlib_hmac  # repro: allow(CB001) -- stdlib reference
 
 from hypothesis import given, settings
 from hypothesis import strategies as st

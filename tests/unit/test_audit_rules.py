@@ -66,15 +66,9 @@ class TestSimTimeFamily:
 
 class TestIterationOrderFamily:
     def test_violations_caught(self):
-        findings = audit_fixture("bad_iteration.py")
-        counts = rule_counts(findings)
+        counts = rule_counts(audit_fixture("bad_iteration.py"))
         # `for key in {...}` and `list(set(...))`.
         assert counts["ITER001"] == 2
-        # `.items()` loop in experiment scope — warning severity.
-        assert counts["ITER002"] == 1
-        severities = {f.rule: f.severity for f in findings}
-        assert severities["ITER001"] == "error"
-        assert severities["ITER002"] == "warning"
 
     def test_allowed_and_suppressed_twin_passes(self):
         assert audit_fixture("ok_iteration.py") == []
@@ -82,41 +76,14 @@ class TestIterationOrderFamily:
 
 class TestFaultsFamily:
     def test_violations_caught(self):
-        findings = audit_fixture("bad_faults.py")
-        counts = rule_counts(findings)
+        counts = rule_counts(audit_fixture("bad_faults.py"))
         # bare `except: pass`, `except Exception: ...`, and the
         # `except (KeyError, BaseException): pass` tuple; the blanket
         # handler with an observable body is NOT a finding.
         assert counts["FI001"] == 3
-        assert all(f.severity == "error" for f in findings)
 
     def test_allowed_and_suppressed_twin_passes(self):
         assert audit_fixture("ok_faults.py") == []
-
-
-class TestFastpathFamily:
-    def test_violations_caught(self):
-        findings = audit_fixture("bad_fastpath.py")
-        counts = rule_counts(findings)
-        # range(num_packets), range(config.horizon), range(len(packets)).
-        assert counts["FP001"] == 3
-        assert all(f.severity == "warning" for f in findings)
-
-    def test_allowed_and_suppressed_twin_passes(self):
-        assert audit_fixture("ok_fastpath.py") == []
-
-
-class TestObservabilityFamily:
-    def test_violations_caught(self):
-        findings = audit_fixture("bad_obs.py")
-        counts = rule_counts(findings)
-        # print(...), sys.stderr.write(...), open(path, "w"), and
-        # open(path, mode="a").
-        assert counts["OBS001"] == 4
-        assert all(f.severity == "error" for f in findings)
-
-    def test_registry_and_ledger_twin_passes(self):
-        assert audit_fixture("ok_obs.py") == []
 
 
 class TestRngFlowFamily:
@@ -126,8 +93,6 @@ class TestRngFlowFamily:
         assert counts["RNG001"] == 2
         # The duplicated `spawn("route-0")` and `stream("adversary")`.
         assert counts["RNG002"] == 2
-        # The `rng.stream(node.make_label())` opaque label.
-        assert counts["RNG003"] == 1
 
     def test_duplicate_spawn_label_specifically_flagged(self):
         findings = [
@@ -241,11 +206,9 @@ def test_fixture_files_never_leak_other_rules():
         "bad_determinism.py": {"DET002", "DET005", "ST002"},
         "bad_crypto.py": {"CB001", "CB002"},
         "bad_simtime.py": {"ST002"},
-        "bad_iteration.py": {"ITER001", "ITER002"},
+        "bad_iteration.py": {"ITER001"},
         "bad_faults.py": {"FI001"},
-        "bad_fastpath.py": {"FP001"},
-        "bad_obs.py": {"OBS001"},
-        "bad_rngflow.py": {"RNG001", "RNG002", "RNG003"},
+        "bad_rngflow.py": {"RNG001", "RNG002"},
         "interproc": {"ST002"},
     }
     flagged = set()

@@ -1,6 +1,6 @@
 """Tests for packet identifiers and hashing."""
 
-import hashlib
+import hashlib  # repro: allow(CB001) -- stdlib reference
 
 import pytest
 
