@@ -6,7 +6,8 @@ wired onto a :class:`~repro.net.path.Path`. This module provides the
 constructor plumbing (key manager, path, adversary installation), the
 traffic driver, and the agent base classes with the bookkeeping all
 protocols share (pending tables, timers with slack, freshness checks,
-overhead accounting).
+overhead accounting) — including, in :class:`ProbingSource`, the
+ack → probe → report round of the six ack-based protocols.
 
 Timer sizing: the paper's wait-times are expressed in worst-case round
 trips (``r_i``). With uniform per-hop latency the bounds are exact, so we
@@ -18,13 +19,23 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.estimators import DirectEstimator
 from repro.core.identification import IdentificationResult, identify_links
+from repro.core.monitor import EndToEndMonitor
 from repro.core.params import ProtocolParams
 from repro.core.scoring import ScoreBoard
 from repro.crypto.keys import DEFAULT_KEY_SEED, KeyManager
+from repro.crypto.mac import verify_mac
 from repro.exceptions import ConfigurationError
 from repro.net.node import Node
-from repro.net.packets import ACK, REVERSE, DataPacket, Direction, Packet
+from repro.net.packets import (
+    ACK,
+    REVERSE,
+    AckPacket,
+    DataPacket,
+    Direction,
+    Packet,
+)
 from repro.net.path import Path
 from repro.net.simulator import Simulator
 from repro.obs.registry import SIM_LATENCY_BUCKETS, get_registry
@@ -162,6 +173,92 @@ class SourceAgent(Agent):
             sent_at = entry.get("sent_at")
             if sent_at is not None:
                 self.obs_round_latency.observe(self.now - sent_at)
+
+
+class ProbingSource(SourceAgent):
+    """The source half of the ack → probe → report round that every
+    ack-based protocol runs (full-ack, sig-ack, PAAI-1, PAAI-2 and both
+    §10 combinations).
+
+    Subclasses keep a ``pending`` entry per monitored packet with a
+    ``probe_attempts`` count and define ``_probe(identifier, entry)``,
+    which sends one probe and arms the report wait-timer. Each family
+    keeps its own ``_probe``: the event counters label a timer by the
+    qualname of the lambda that arms it. What a round scores is the
+    subclasses' to say (:meth:`_score_lost`, :attr:`ack_is_round`);
+    what an e2e ack is checked against is :meth:`_ack_valid`'s.
+    """
+
+    #: Estimator over the score board behind :meth:`estimates`.
+    estimator_class = DirectEstimator
+    #: Fault counted when an e2e ack fails :meth:`_ack_valid`.
+    ack_fault = "ack_mac_failure"
+    #: Whether a verified e2e ack is itself an observed round. PAAI-2
+    #: counts its round when the packet is sent. A flag, not a hook, so a
+    #: verified ack costs one hook call (:meth:`_ack_valid`) and no more.
+    ack_is_round = True
+
+    def __init__(self, protocol: "WireProtocol") -> None:
+        super().__init__(protocol)
+        self.monitor = EndToEndMonitor(self.params.psi_threshold)
+        self._estimator = self.estimator_class(self.board)
+
+    def on_packet(self, packet: Packet, direction: Direction) -> None:
+        if is_e2e_ack(packet, direction):
+            self._on_e2e_ack(packet)
+        elif is_report_ack(packet, direction):
+            self._on_report(packet)
+
+    def _on_e2e_ack(self, ack: AckPacket) -> None:
+        entry = self.pending.get(ack.identifier)
+        if entry is None or entry["probed"]:
+            return
+        if not self._ack_valid(ack):
+            self.obs_mac_failures.inc()
+            self.record_fault(self.ack_fault)
+            return  # forged/altered ack: treated as absent (drop semantics)
+        entry["handle"].cancel()
+        self.pending.pop(ack.identifier)
+        self.monitor.record_acknowledged()
+        self.obs_acks_verified.inc()
+        if self.ack_is_round:
+            self.board.record_round()  # an observed round with no blame
+        self.observe_round(entry)
+
+    def _ack_valid(self, ack: AckPacket) -> bool:
+        """Check D's e2e ack tag: a MAC under ``_dest_mac_key``, which
+        the MAC protocols that receive e2e acks derive."""
+        return verify_mac(self._dest_mac_key, ack.identifier, ack.report)
+
+    def _on_report(self, ack: AckPacket) -> None:
+        raise NotImplementedError
+
+    def _probe(self, identifier: bytes, entry: dict) -> None:
+        raise NotImplementedError
+
+    def _on_report_timeout(self, identifier: bytes) -> None:
+        entry = self.pending.get(identifier)
+        if entry is None:
+            return
+        # Degraded mode (probe_retries > 0): re-send the probe a bounded
+        # number of times before the round is scored as lost.
+        if entry["probe_attempts"] < self.params.probe_retries:
+            entry["probe_attempts"] += 1
+            self._probe(identifier, entry)
+            return
+        self.pending.pop(identifier)
+        self.obs_report_timeouts.inc()
+        self._score_lost(entry)
+        self.observe_round(entry)
+
+    def _score_lost(self, entry: dict) -> None:
+        """Score a round whose every probe went unanswered: no report at
+        all means the loss is at ``l_0`` (footnote 8)."""
+        self.board.add(0)
+        self.board.record_round()
+
+    def estimates(self) -> List[float]:
+        return self._estimator.estimates()
 
 
 class ForwarderAgent(Agent):

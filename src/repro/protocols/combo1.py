@@ -29,17 +29,21 @@ from repro.protocols.onion_common import OnionDestination, OnionForwarder
 SAMPLING_ROLE = "combo-sampling"
 
 
+def destination_keyed_sampler(protocol: WireProtocol) -> SecureSampler:
+    """The §10 combinations' sampler, keyed from the pairwise key with D:
+    both ends can evaluate it, nobody else can. S and D each build their
+    own copy."""
+    params = protocol.params
+    key = derive_key(protocol.keys.master_key(params.path_length), SAMPLING_ROLE)
+    return SecureSampler(key, params.probe_frequency)
+
+
 class Combo1Source(FullAckSource):
     """Source agent for Combination 1: full-ack on the sampled packets."""
 
     def __init__(self, protocol: "Combination1Protocol") -> None:
         super().__init__(protocol)
-        # Sampling key derived from the pairwise key with D: both ends can
-        # evaluate it, nobody else can.
-        self.sampler = SecureSampler(
-            derive_key(self.keys.master_key(self.params.path_length), SAMPLING_ROLE),
-            self.params.probe_frequency,
-        )
+        self.sampler = destination_keyed_sampler(protocol)
 
     def _after_send(self, packet: DataPacket) -> None:
         identifier = packet.identifier
@@ -64,10 +68,7 @@ class Combination1Protocol(WireProtocol):
             OnionForwarder(self, position, hold=hold, e2e_policy="keep")
             for position in range(1, params.path_length)
         ]
-        dest_sampler = SecureSampler(
-            derive_key(self.keys.master_key(params.path_length), SAMPLING_ROLE),
-            params.probe_frequency,
-        )
+        dest_sampler = destination_keyed_sampler(self)
         destination = OnionDestination(
             self,
             hold=hold,

@@ -8,20 +8,20 @@ whose ack is missing. Communication drops to ``O(p)`` per data packet —
 the lowest of the family — at the price of PAAI-2's already-slow detection
 degraded by a further ``1/p`` (Table 1's Combination 2 row).
 
-Implementation-wise this is PAAI-2 with (a) the source monitoring only
-sampled packets and (b) the destination acking only sampled packets;
-forwarders are unchanged (they cannot tell sampled packets apart and hold
-state for every packet).
+Implementation-wise this is PAAI-2's cast with (a) :class:`Combo2Source`
+monitoring only sampled packets and (b) the stock
+:class:`~repro.protocols.paai2.Paai2Destination` given an
+``ack_predicate`` that acks only sampled packets — the same seam
+Combination 1 uses on the onion destination. Forwarders are unchanged
+(they cannot tell sampled packets apart and hold state for every
+packet), and the source inherits PAAI-2's probe-retry path.
 """
 
 from __future__ import annotations
 
-from repro.crypto.keys import derive_key
-from repro.crypto.mac import mac
-from repro.crypto.sampling import SecureSampler
-from repro.net.packets import AckPacket, DataPacket
+from repro.net.packets import DataPacket
 from repro.protocols.base import WireProtocol
-from repro.protocols.combo1 import SAMPLING_ROLE
+from repro.protocols.combo1 import destination_keyed_sampler
 from repro.protocols.paai2 import (
     Paai2Destination,
     Paai2Forwarder,
@@ -34,47 +34,13 @@ class Combo2Source(Paai2Source):
 
     def __init__(self, protocol: "Combination2Protocol") -> None:
         super().__init__(protocol)
-        self.sampler = SecureSampler(
-            derive_key(self.keys.master_key(self.params.path_length), SAMPLING_ROLE),
-            self.params.probe_frequency,
-        )
+        self.sampler = destination_keyed_sampler(protocol)
 
     def _after_send(self, packet: DataPacket) -> None:
         if not self.sampler.is_sampled(packet.identifier):
             return
         self.obs_sampling_hits.inc()
         super()._after_send(packet)
-
-
-class Combo2Destination(Paai2Destination):
-    """PAAI-2 destination that only acks sampled packets."""
-
-    def __init__(self, protocol: "Combination2Protocol") -> None:
-        super().__init__(protocol)
-        self._sampler = SecureSampler(
-            derive_key(
-                protocol.keys.master_key(protocol.params.path_length), SAMPLING_ROLE
-            ),
-            protocol.params.probe_frequency,
-        )
-
-    def _on_data(self, packet: DataPacket) -> None:
-        if not self.is_fresh(packet):
-            return
-        identifier = packet.identifier
-        tag = mac(self.mac_key, identifier)
-        entry = self.store.add(identifier, self.now, dest_ack=tag)
-        entry["hold_handle"] = self.timer_with_slack(
-            self._hold, lambda: self._expire_hold(identifier)
-        )
-        self.path.stats.record_data_delivered()
-        if self._sampler.is_sampled(identifier):
-            self.send_backward(
-                AckPacket.create(
-                    identifier, report=tag, origin=self.position,
-                    sequence=packet.sequence, is_report=False,
-                )
-            )
 
 
 class Combination2Protocol(WireProtocol):
@@ -91,5 +57,9 @@ class Combination2Protocol(WireProtocol):
             Paai2Forwarder(self, position)
             for position in range(1, self.params.path_length)
         ]
-        destination = Combo2Destination(self)
+        dest_sampler = destination_keyed_sampler(self)
+        destination = Paai2Destination(
+            self,
+            ack_predicate=lambda packet: dest_sampler.is_sampled(packet.identifier),
+        )
         return [source, *forwarders, destination]

@@ -16,19 +16,11 @@ Round semantics as implemented (and mirrored by the fast outcome model):
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional
 
-from repro.core.estimators import DirectEstimator
-from repro.core.monitor import EndToEndMonitor
-from repro.crypto.mac import verify_mac
 from repro.crypto.onion import OnionVerifier
-from repro.net.packets import AckPacket, DataPacket, Direction, Packet
-from repro.protocols.base import (
-    SourceAgent,
-    WireProtocol,
-    is_e2e_ack,
-    is_report_ack,
-)
+from repro.net.packets import AckPacket, DataPacket
+from repro.protocols.base import ProbingSource, WireProtocol
 from repro.protocols.onion_common import (
     OnionDestination,
     OnionForwarder,
@@ -37,14 +29,14 @@ from repro.protocols.onion_common import (
 )
 
 
-class FullAckSource(SourceAgent):
+class FullAckSource(ProbingSource):
     """Source agent for the full-ack protocol."""
 
     def __init__(self, protocol: "FullAckProtocol") -> None:
         super().__init__(protocol)
+        # MAC material only: sig-ack, which checks signatures instead,
+        # skips this initializer (see SigAckSource).
         self.verifier = OnionVerifier(self.keys.all_mac_keys())
-        self.monitor = EndToEndMonitor(self.params.psi_threshold)
-        self._estimator = DirectEstimator(self.board)
         self._dest_mac_key = self.keys.mac_key(self.params.path_length)
 
     # -- sending ------------------------------------------------------------
@@ -65,29 +57,6 @@ class FullAckSource(SourceAgent):
         entry["probed"] = False
         entry["handle"] = self.timer_with_slack(self.params.r0, on_timeout)
 
-    # -- receiving ------------------------------------------------------------
-
-    def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if is_e2e_ack(packet, direction):
-            self._on_e2e_ack(packet)
-        elif is_report_ack(packet, direction):
-            self._on_report(packet)
-
-    def _on_e2e_ack(self, ack: AckPacket) -> None:
-        entry = self.pending.get(ack.identifier)
-        if entry is None or entry["probed"]:
-            return
-        if not verify_mac(self._dest_mac_key, ack.identifier, ack.report):
-            self.obs_mac_failures.inc()
-            self.record_fault("ack_mac_failure")
-            return  # forged/altered ack: treated as absent (drop semantics)
-        entry["handle"].cancel()
-        self.pending.pop(ack.identifier)
-        self.monitor.record_acknowledged()
-        self.obs_acks_verified.inc()
-        self.board.record_round()  # an observed round with no blame
-        self.observe_round(entry)
-
     def _on_ack_timeout(self, identifier: bytes) -> None:
         entry = self.pending.get(identifier)
         if entry is None:
@@ -105,39 +74,23 @@ class FullAckSource(SourceAgent):
             self.params.r0, lambda: self._on_report_timeout(identifier)
         )
 
+    # -- receiving ------------------------------------------------------------
+
     def _on_report(self, ack: AckPacket) -> None:
         entry = self.pending.get(ack.identifier)
         if entry is None or not entry["probed"]:
             return
         entry["handle"].cancel()
         self.pending.pop(ack.identifier)
-        depth = effective_onion_depth(self.verifier, ack.report, ack.identifier)
+        depth = self._verify_chain(ack.report, ack.identifier)
         if depth < self.params.path_length:
             self.board.add(depth)
         self.board.record_round()
         self.observe_round(entry)
 
-    def _on_report_timeout(self, identifier: bytes) -> None:
-        entry = self.pending.get(identifier)
-        if entry is None:
-            return
-        # Degraded mode (probe_retries > 0): re-send the probe a bounded
-        # number of times before scoring the round.
-        if entry["probe_attempts"] < self.params.probe_retries:
-            entry["probe_attempts"] += 1
-            self._probe(identifier, entry)
-            return
-        self.pending.pop(identifier)
-        # Footnote 8: no report at all means the loss is at l_0.
-        self.obs_report_timeouts.inc()
-        self.board.add(0)
-        self.board.record_round()
-        self.observe_round(entry)
-
-    # -- verdicts ------------------------------------------------------------
-
-    def estimates(self) -> List[float]:
-        return self._estimator.estimates()
+    def _verify_chain(self, report: Optional[bytes], identifier: bytes) -> int:
+        """Effective depth of a probe's report: a MAC onion here."""
+        return effective_onion_depth(self.verifier, report, identifier)
 
 
 class FullAckProtocol(WireProtocol):

@@ -1,13 +1,18 @@
 """Shared agents for the onion-report protocols (full-ack, PAAI-1, §10
-Combination 1).
+Combination 1, and sig-ack).
 
-All three protocols use the same probe/onion machinery on intermediate
+All four protocols use the same probe/onion machinery on intermediate
 nodes and the destination; they differ only in *when* the source probes
-and how long nodes hold per-packet state. The forwarder implements the
-paper's phase-3 rules, including report *regeneration*: a node whose
-report wait-timer expires without a downstream ack originates its own
-onion layer — this is what pins a report dropped on link ``l_i`` to depth
-``i`` instead of silently blaming ``l_0``.
+and how long nodes hold per-packet state. How report layers and the
+destination's ack are authenticated is left to small hooks
+(``_wrap_report`` / ``_originate_report`` and ``_ack_tag``) whose
+defaults are the MAC onion; sig-ack's subclasses sign instead.
+
+The forwarder implements the paper's phase-3 rules, including report
+*regeneration*: a node whose report wait-timer expires without a
+downstream ack originates its own onion layer — this is what pins a
+report dropped on link ``l_i`` to depth ``i`` instead of silently
+blaming ``l_0``.
 
 The forwarder's handling of end-to-end acks is a policy knob:
 
@@ -157,9 +162,7 @@ class OnionForwarder(ForwarderAgent):
         if entry is None or not entry["probed"]:
             return
         entry["report_handle"].cancel()
-        wrapped = OnionReport.wrap(
-            self.position, ack.identifier, ack.report, self.mac_key
-        )
+        wrapped = self._wrap_report(ack.identifier, ack.report)
         self.store.pop(ack.identifier, self.now)
         self.send_backward(
             AckPacket.create(
@@ -183,13 +186,23 @@ class OnionForwarder(ForwarderAgent):
         if entry is None:
             return
         # Rule (a): no downstream ack in time -> originate an onion report.
-        report = OnionReport.originate(self.position, identifier, self.mac_key)
+        report = self._originate_report(identifier)
         self.store.pop(identifier, self.now)
         self.send_backward(
             AckPacket.create(
                 identifier, report=report, origin=self.position, is_report=True
             )
         )
+
+    # -- report layers (MAC onion; sig-ack signs instead) ---------------------
+
+    def _wrap_report(self, identifier: bytes, inner: bytes) -> bytes:
+        """This node's layer around a downstream report."""
+        return OnionReport.wrap(self.position, identifier, inner, self.mac_key)
+
+    def _originate_report(self, identifier: bytes) -> bytes:
+        """An innermost layer: the report starts at this node."""
+        return OnionReport.originate(self.position, identifier, self.mac_key)
 
 
 class OnionDestination(DestinationAgent):
@@ -226,10 +239,10 @@ class OnionDestination(DestinationAgent):
         )
         self.path.stats.record_data_delivered()
         if self._ack_predicate(packet):
-            tag = mac(self.mac_key, identifier)
             self.send_backward(
                 AckPacket.create(
-                    identifier, report=tag, origin=self.position,
+                    identifier, report=self._ack_tag(identifier),
+                    origin=self.position,
                     sequence=packet.sequence, is_report=False,
                 )
             )
@@ -244,7 +257,7 @@ class OnionDestination(DestinationAgent):
             return
         entry["hold_handle"].cancel()
         self.store.pop(probe.identifier, self.now)
-        report = OnionReport.originate(self.position, probe.identifier, self.mac_key)
+        report = self._originate_report(probe.identifier)
         self.send_backward(
             AckPacket.create(
                 probe.identifier, report=report, origin=self.position, is_report=True
@@ -254,3 +267,13 @@ class OnionDestination(DestinationAgent):
     def _expire_hold(self, identifier: bytes) -> None:
         if identifier in self.store:
             self.store.pop(identifier, self.now)
+
+    # -- ack tag and report layer (MAC; sig-ack signs instead) ----------------
+
+    def _ack_tag(self, identifier: bytes) -> bytes:
+        """D's end-to-end ack tag for ``identifier``."""
+        return mac(self.mac_key, identifier)
+
+    def _originate_report(self, identifier: bytes) -> bytes:
+        """D's answer to a probe: an innermost report layer."""
+        return OnionReport.originate(self.position, identifier, self.mac_key)

@@ -16,14 +16,10 @@ link, or nothing (blame ``l_0``, footnote 8).
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.core.estimators import DirectEstimator
-from repro.core.monitor import EndToEndMonitor
 from repro.crypto.onion import OnionVerifier
 from repro.crypto.sampling import SecureSampler
 from repro.net.packets import AckPacket, DataPacket, Direction, Packet
-from repro.protocols.base import SourceAgent, WireProtocol, is_report_ack
+from repro.protocols.base import ProbingSource, WireProtocol, is_report_ack
 from repro.protocols.onion_common import (
     OnionDestination,
     OnionForwarder,
@@ -32,17 +28,15 @@ from repro.protocols.onion_common import (
 )
 
 
-class Paai1Source(SourceAgent):
+class Paai1Source(ProbingSource):
     """Source agent for PAAI-1."""
 
     def __init__(self, protocol: "Paai1Protocol") -> None:
         super().__init__(protocol)
         self.verifier = OnionVerifier(self.keys.all_mac_keys())
-        self.monitor = EndToEndMonitor(self.params.psi_threshold)
         self.sampler = SecureSampler(
             self.keys.source_sampling_key, self.params.probe_frequency
         )
-        self._estimator = DirectEstimator(self.board)
 
     # -- sending --------------------------------------------------------------
 
@@ -50,30 +44,24 @@ class Paai1Source(SourceAgent):
         if not self.sampler.is_sampled(packet.identifier):
             return
         identifier = packet.identifier
-        sequence = packet.sequence
         self.monitor.record_sent()
         self.obs_sampling_hits.inc()
+        entry = self.pending[identifier] = {
+            "sequence": packet.sequence,
+            "probe_attempts": 0,
+        }
         if self.params.probe_delay > 0:
             # Delayed sampling (§5): the probe trails the data packet by a
             # gap long enough that a withheld packet's timestamp expires
             # before a withholder can usefully release it.
-            self.pending[identifier] = {
-                "handle": self.set_timer(
-                    self.params.probe_delay,
-                    lambda: self._send_probe(identifier, sequence),
-                )
-            }
+            entry["handle"] = self.set_timer(
+                self.params.probe_delay, lambda: self._probe(identifier, entry)
+            )
         else:
-            self.pending[identifier] = {}
-            self._send_probe(identifier, sequence)
+            self._probe(identifier, entry)
 
-    def _send_probe(self, identifier: bytes, sequence: int) -> None:
-        entry = self.pending.get(identifier)
-        if entry is None:
-            return
-        entry["sequence"] = sequence
-        entry.setdefault("probe_attempts", 0)
-        probe = build_probe(self.protocol, identifier, sequence)
+    def _probe(self, identifier: bytes, entry: dict) -> None:
+        probe = build_probe(self.protocol, identifier, entry["sequence"])
         self.path.stats.record_overhead(probe)
         self.send_forward(probe)
         self.obs_probes_sent.inc()
@@ -84,6 +72,7 @@ class Paai1Source(SourceAgent):
     # -- receiving --------------------------------------------------------------
 
     def on_packet(self, packet: Packet, direction: Direction) -> None:
+        # No e2e acks in PAAI-1: only probe reports come back.
         if is_report_ack(packet, direction):
             self._on_report(packet)
 
@@ -102,27 +91,6 @@ class Paai1Source(SourceAgent):
             self.board.add(depth)
         self.board.record_round()
         self.observe_round(entry)
-
-    def _on_report_timeout(self, identifier: bytes) -> None:
-        entry = self.pending.get(identifier)
-        if entry is None:
-            return
-        # Degraded mode (probe_retries > 0): bounded retransmission
-        # before the round is scored as lost.
-        if entry["probe_attempts"] < self.params.probe_retries:
-            entry["probe_attempts"] += 1
-            self._send_probe(identifier, entry["sequence"])
-            return
-        self.pending.pop(identifier)
-        self.obs_report_timeouts.inc()
-        self.board.add(0)  # footnote 8
-        self.board.record_round()
-        self.observe_round(entry)
-
-    # -- verdicts --------------------------------------------------------------
-
-    def estimates(self) -> List[float]:
-        return self._estimator.estimates()
 
 
 class Paai1Protocol(WireProtocol):

@@ -18,11 +18,8 @@ rates come out of the score-difference estimator
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.core.estimators import DifferenceEstimator
-from repro.core.monitor import EndToEndMonitor
-from repro.crypto.mac import mac, verify_mac
+from repro.crypto.mac import mac
 from repro.crypto.oblivious import ObliviousDecoder, ObliviousReport
 from repro.crypto.sampling import SelectionPredicate, selected_node
 from repro.net.packets import (
@@ -38,7 +35,7 @@ from repro.net.packets import (
 from repro.protocols.base import (
     DestinationAgent,
     ForwarderAgent,
-    SourceAgent,
+    ProbingSource,
     WireProtocol,
     is_e2e_ack,
     is_report_ack,
@@ -53,20 +50,22 @@ def _report_challenge(identifier: bytes, z: bytes) -> bytes:
     return identifier + z
 
 
-class Paai2Source(SourceAgent):
+class Paai2Source(ProbingSource):
     """Source agent for PAAI-2."""
+
+    estimator_class = DifferenceEstimator
+    #: Every data packet is an observation, counted when it is sent.
+    ack_is_round = False
 
     def __init__(self, protocol: "Paai2Protocol") -> None:
         super().__init__(protocol)
         d = self.params.path_length
-        self.monitor = EndToEndMonitor(self.params.psi_threshold)
         self.decoder = ObliviousDecoder(
             [self.keys.encryption_key(i) for i in range(1, d + 1)],
             [self.keys.mac_key(i) for i in range(1, d + 1)],
         )
         self._selection_keys = self.keys.all_selection_keys()
         self._dest_mac_key = self.keys.mac_key(d)
-        self._estimator = DifferenceEstimator(self.board)
         self._challenge_rng = protocol.simulator.rng.stream("paai2-challenge")
         #: Count of probe rounds that decoded to a match (diagnostics).
         self.matches = 0
@@ -85,28 +84,6 @@ class Paai2Source(SourceAgent):
                 self.params.r0, lambda: self._on_e2e_timeout(identifier)
             ),
         }
-
-    # -- receiving --------------------------------------------------------------
-
-    def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if is_e2e_ack(packet, direction):
-            self._on_e2e_ack(packet)
-        elif is_report_ack(packet, direction):
-            self._on_report(packet)
-
-    def _on_e2e_ack(self, ack: AckPacket) -> None:
-        entry = self.pending.get(ack.identifier)
-        if entry is None or entry["probed"]:
-            return
-        if not verify_mac(self._dest_mac_key, ack.identifier, ack.report):
-            self.obs_mac_failures.inc()
-            self.record_fault("ack_mac_failure")
-            return
-        entry["handle"].cancel()
-        self.pending.pop(ack.identifier)
-        self.monitor.record_acknowledged()
-        self.obs_acks_verified.inc()
-        self.observe_round(entry)
 
     def _on_e2e_timeout(self, identifier: bytes) -> None:
         entry = self.pending.get(identifier)
@@ -149,20 +126,9 @@ class Paai2Source(SourceAgent):
         self._score(decoded.matches, entry["selected"])
         self.observe_round(entry)
 
-    def _on_report_timeout(self, identifier: bytes) -> None:
-        entry = self.pending.get(identifier)
-        if entry is None:
-            return
-        # Degraded mode (probe_retries > 0): bounded retransmission
-        # before the round is scored as a mismatch.
-        if entry["probe_attempts"] < self.params.probe_retries:
-            entry["probe_attempts"] += 1
-            self._probe(identifier, entry)
-            return
-        self.pending.pop(identifier)
-        self.obs_report_timeouts.inc()
+    def _score_lost(self, entry: dict) -> None:
+        """No report at all scores as a mismatch."""
         self._score(False, entry["selected"])
-        self.observe_round(entry)
 
     def _score(self, matches: bool, selected: int) -> None:
         if matches:
@@ -170,11 +136,6 @@ class Paai2Source(SourceAgent):
             return
         self.mismatches += 1
         self.board.add_upstream_interval(selected)
-
-    # -- verdicts --------------------------------------------------------------
-
-    def estimates(self) -> List[float]:
-        return self._estimator.estimates()
 
 
 class Paai2Forwarder(ForwarderAgent):
@@ -290,10 +251,13 @@ class Paai2Forwarder(ForwarderAgent):
 
 
 class Paai2Destination(DestinationAgent):
-    """Destination for PAAI-2: always acks, always answers probes."""
+    """Destination for PAAI-2: always answers probes, and acks the data
+    packets ``ack_predicate`` selects — every one in PAAI-2, the sampled
+    ones in Combination 2."""
 
-    def __init__(self, protocol: "Paai2Protocol") -> None:
+    def __init__(self, protocol, ack_predicate) -> None:
         super().__init__(protocol)
+        self._ack_predicate = ack_predicate
         self.enc_key = protocol.keys.encryption_key(self.position)
         self._nonce_rng = protocol.simulator.rng.nonce_source("node-dest")
         self._hold = 1.5 * protocol.params.r0
@@ -314,12 +278,13 @@ class Paai2Destination(DestinationAgent):
             self._hold, lambda: self._expire_hold(identifier)
         )
         self.path.stats.record_data_delivered()
-        self.send_backward(
-            AckPacket.create(
-                identifier, report=tag, origin=self.position,
-                sequence=packet.sequence, is_report=False,
+        if self._ack_predicate(packet):
+            self.send_backward(
+                AckPacket.create(
+                    identifier, report=tag, origin=self.position,
+                    sequence=packet.sequence, is_report=False,
+                )
             )
-        )
 
     def _on_probe(self, probe: ProbePacket) -> None:
         entry = self.store.get(probe.identifier)
@@ -363,5 +328,5 @@ class Paai2Protocol(WireProtocol):
             Paai2Forwarder(self, position)
             for position in range(1, self.params.path_length)
         ]
-        destination = Paai2Destination(self)
+        destination = Paai2Destination(self, ack_predicate=lambda packet: True)
         return [source, *forwarders, destination]

@@ -1,17 +1,25 @@
 """Sig-ack: the asymmetric-cryptography AAI variant of footnote 1.
 
-Structurally this is the full-ack protocol with every MAC replaced by a
-hash-based signature (:mod:`repro.crypto.wots` / :mod:`repro.crypto.merkle`):
+This is the full-ack protocol with every MAC replaced by a hash-based
+signature (:mod:`repro.crypto.wots` / :mod:`repro.crypto.merkle`). It runs
+the onion cast unchanged — :class:`~repro.protocols.fullack.FullAckSource`,
+:class:`~repro.protocols.onion_common.OnionForwarder` (``e2e_policy="pop"``,
+hold ``2 r0``) and :class:`~repro.protocols.onion_common.OnionDestination`
+— and overrides only their authentication hooks:
 
-* the destination's per-packet ack is a signature over the identifier;
-* probe responses are *signature onions* — each node wraps the downstream
-  report and signs the whole layer with its Merkle key, so any party
-  (not just the source) could audit the report chain — the property
-  asymmetric crypto buys;
-* each node's signing pool holds ``2^h`` one-time keys; when it runs dry
-  the node regenerates a pool and re-registers its root (counted in
-  ``key_regenerations`` — an operational cost symmetric protocols don't
-  have).
+* ``_ack_tag`` / ``_ack_valid``: the destination's per-packet ack is a
+  signature over the identifier, checked at the source (a bad one counts
+  as ``ack_signature_failure``);
+* ``_wrap_report`` / ``_originate_report``: probe responses are
+  *signature onions* — each node wraps the downstream report and signs
+  the whole layer with its Merkle key, so any party (not just the source)
+  could audit the report chain — the property asymmetric crypto buys;
+* ``_verify_chain``: the source walks that chain for the report's depth.
+
+Each node's signing pool holds ``2^h`` one-time keys; when it runs dry the
+node regenerates a pool and re-registers its root (counted in
+``key_regenerations`` — an operational cost symmetric protocols don't
+have).
 
 What footnote 1 dismisses, this module quantifies: a single signature is
 several KiB (vs. 8-byte MACs) and costs thousands of hash evaluations, so
@@ -24,8 +32,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.estimators import DirectEstimator
-from repro.core.monitor import EndToEndMonitor
 from repro.crypto.merkle import (
     MerkleSigner,
     MerkleVerifier,
@@ -33,22 +39,10 @@ from repro.crypto.merkle import (
     encode_signature,
 )
 from repro.exceptions import ConfigurationError
-from repro.net.packets import (
-    AckPacket,
-    DataPacket,
-    Direction,
-    Packet,
-    PacketKind,
-    ProbePacket,
-)
-from repro.protocols.base import (
-    DestinationAgent,
-    ForwarderAgent,
-    SourceAgent,
-    WireProtocol,
-    is_e2e_ack,
-    is_report_ack,
-)
+from repro.net.packets import AckPacket
+from repro.protocols.base import ProbingSource, WireProtocol
+from repro.protocols.fullack import FullAckSource
+from repro.protocols.onion_common import OnionDestination, OnionForwarder
 
 _HEADER = 2 + 4 + 4  # position, payload length, inner length
 
@@ -80,129 +74,46 @@ class _SignerPool:
             self.key_regenerations += 1
         return encode_signature(self._signer.sign(message))
 
-
-class _SigVerifierSet:
-    """Source-side verifier accepting a node's registered roots."""
-
-    def __init__(self, pool: _SignerPool) -> None:
-        self._pool = pool
-
     def verify(self, message: bytes, blob: bytes) -> bool:
+        """Check ``blob`` against the registered roots (public data)."""
         try:
             signature = decode_signature(blob)
         except ConfigurationError:
             return False
         return any(
-            MerkleVerifier(root).verify(message, signature)
-            for root in self._pool.roots
+            MerkleVerifier(root).verify(message, signature) for root in self.roots
         )
 
 
-def _encode_layer(position: int, payload: bytes, inner: bytes, signature: bytes) -> bytes:
-    header = (
-        position.to_bytes(2, "big")
-        + len(payload).to_bytes(4, "big")
-        + len(inner).to_bytes(4, "big")
-    )
-    return header + payload + inner + signature
-
-
-def _signed_body(position: int, payload: bytes, inner: bytes) -> bytes:
-    return (
+def _signed_layer(pool: _SignerPool, position: int, payload: bytes,
+                  inner: bytes) -> bytes:
+    """``position || len(payload) || len(inner) || payload || inner``
+    followed by the node's signature over all of it."""
+    body = (
         position.to_bytes(2, "big")
         + len(payload).to_bytes(4, "big")
         + len(inner).to_bytes(4, "big")
         + payload
         + inner
     )
+    return body + pool.sign(body)
 
 
-class SigAckSource(SourceAgent):
-    """Source for the sig-ack protocol (full-ack flow, signature checks)."""
+class SigAckSource(FullAckSource):
+    """Full-ack source that checks signatures instead of MACs."""
+
+    ack_fault = "ack_signature_failure"
 
     def __init__(self, protocol: "SigAckProtocol") -> None:
-        super().__init__(protocol)
-        self.monitor = EndToEndMonitor(self.params.psi_threshold)
-        self._estimator = DirectEstimator(self.board)
-        self._verifiers = protocol.verifiers
+        # Skip FullAckSource's MAC verifier and D's MAC key: deriving them
+        # costs HMAC calls and registers crypto.onion.verify.* series that
+        # sig-ack never uses.
+        ProbingSource.__init__(self, protocol)
+        self._pools = protocol.pools
 
-    def _after_send(self, packet: DataPacket) -> None:
-        identifier = packet.identifier
-        self.monitor.record_sent()
-        self.pending[identifier] = {
-            "sequence": packet.sequence,
-            "probed": False,
-            "handle": self.timer_with_slack(
-                self.params.r0, lambda: self._on_ack_timeout(identifier)
-            ),
-        }
-
-    def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if is_e2e_ack(packet, direction):
-            self._on_e2e_ack(packet)
-        elif is_report_ack(packet, direction):
-            self._on_report(packet)
-
-    def _on_e2e_ack(self, ack: AckPacket) -> None:
-        entry = self.pending.get(ack.identifier)
-        if entry is None or entry["probed"]:
-            return
-        dest = self.params.path_length
-        if not self._verifiers[dest].verify(b"e2e" + ack.identifier, ack.report):
-            self.obs_mac_failures.inc()
-            self.record_fault("ack_signature_failure")
-            return  # forged/altered ack: treated as absent (drop semantics)
-        entry["handle"].cancel()
-        self.pending.pop(ack.identifier)
-        self.monitor.record_acknowledged()
-        self.obs_acks_verified.inc()
-        self.board.record_round()
-        self.observe_round(entry)
-
-    def _on_ack_timeout(self, identifier: bytes) -> None:
-        entry = self.pending.get(identifier)
-        if entry is None:
-            return
-        entry["probed"] = True
-        entry["probe_attempts"] = 0
-        self._probe(identifier, entry)
-
-    def _probe(self, identifier: bytes, entry: dict) -> None:
-        probe = ProbePacket.create(identifier, sequence=entry["sequence"])
-        self.path.stats.record_overhead(probe)
-        self.send_forward(probe)
-        self.obs_probes_sent.inc()
-        entry["handle"] = self.timer_with_slack(
-            self.params.r0, lambda: self._on_report_timeout(identifier)
-        )
-
-    def _on_report(self, ack: AckPacket) -> None:
-        entry = self.pending.get(ack.identifier)
-        if entry is None or not entry["probed"]:
-            return
-        entry["handle"].cancel()
-        self.pending.pop(ack.identifier)
-        depth = self._verify_chain(ack.report, ack.identifier)
-        if depth < self.params.path_length:
-            self.board.add(depth)
-        self.board.record_round()
-        self.observe_round(entry)
-
-    def _on_report_timeout(self, identifier: bytes) -> None:
-        entry = self.pending.get(identifier)
-        if entry is None:
-            return
-        # Degraded mode (probe_retries > 0): re-send the probe a bounded
-        # number of times before scoring the round.
-        if entry["probe_attempts"] < self.params.probe_retries:
-            entry["probe_attempts"] += 1
-            self._probe(identifier, entry)
-            return
-        self.pending.pop(identifier)
-        self.obs_report_timeouts.inc()
-        self.board.add(0)
-        self.board.record_round()
-        self.observe_round(entry)
+    def _ack_valid(self, ack: AckPacket) -> bool:
+        dest = self._pools[self.params.path_length]
+        return dest.verify(b"e2e" + ack.identifier, ack.report)
 
     def _verify_chain(self, report: Optional[bytes], identifier: bytes) -> int:
         """Walk the signature onion outside-in; return the effective depth."""
@@ -221,153 +132,47 @@ class SigAckSource(SourceAgent):
             if len(remaining) < end:
                 break
             payload = remaining[_HEADER : _HEADER + payload_len]
-            inner = remaining[_HEADER + payload_len : end]
-            signature = remaining[end:]
-            body = _signed_body(position, payload, inner)
             if payload != identifier:
                 break
-            if not self._verifiers[position].verify(body, signature):
+            if not self._pools[position].verify(remaining[:end], remaining[end:]):
                 break
             depth = position
             expected += 1
-            remaining = inner
+            remaining = remaining[_HEADER + payload_len : end]
         return depth
 
-    def estimates(self) -> List[float]:
-        return self._estimator.estimates()
 
-
-class SigAckForwarder(ForwarderAgent):
-    """Forwarder: signature-onion analog of the full-ack forwarder."""
+class SigAckForwarder(OnionForwarder):
+    """Full-ack forwarder that signs its report layers."""
 
     def __init__(self, protocol: "SigAckProtocol", position: int) -> None:
-        super().__init__(protocol, position)
+        super().__init__(
+            protocol, position, hold=2.0 * protocol.params.r0, e2e_policy="pop"
+        )
         self.pool = protocol.pools[position]
-        self._hold = 2.0 * protocol.params.r0
 
-    def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if direction is Direction.FORWARD and packet.kind is PacketKind.DATA:
-            self._on_data(packet)
-        elif direction is Direction.FORWARD and packet.kind is PacketKind.PROBE:
-            self._on_probe(packet)
-        elif is_e2e_ack(packet, direction):
-            self._on_e2e_ack(packet)
-        elif is_report_ack(packet, direction):
-            self._on_report(packet)
+    def _wrap_report(self, identifier: bytes, inner: bytes) -> bytes:
+        return _signed_layer(self.pool, self.position, identifier, inner)
 
-    def _on_data(self, packet: DataPacket) -> None:
-        if not self.is_fresh(packet):
-            return
-        identifier = packet.identifier
-        entry = self.store.add(identifier, self.now, probed=False)
-        entry["hold_handle"] = self.timer_with_slack(
-            self._hold, lambda: self._expire(identifier)
-        )
-        self.send_forward(packet)
-
-    def _on_probe(self, probe: ProbePacket) -> None:
-        entry = self.store.get(probe.identifier)
-        if entry is None or entry["probed"]:
-            return
-        entry["probed"] = True
-        entry["hold_handle"].cancel()
-        identifier = probe.identifier
-        entry["report_handle"] = self.timer_with_slack(
-            self.rtt_to_destination(), lambda: self._report_timeout(identifier)
-        )
-        self.send_forward(probe)
-
-    def _on_e2e_ack(self, ack: AckPacket) -> None:
-        entry = self.store.get(ack.identifier)
-        if entry is None or entry["probed"]:
-            return
-        entry["hold_handle"].cancel()
-        self.store.pop(ack.identifier, self.now)
-        self.send_backward(ack)
-
-    def _on_report(self, ack: AckPacket) -> None:
-        entry = self.store.get(ack.identifier)
-        if entry is None or not entry["probed"]:
-            return
-        entry["report_handle"].cancel()
-        self.store.pop(ack.identifier, self.now)
-        self._emit(ack.identifier, inner=ack.report, sequence=ack.sequence)
-
-    def _report_timeout(self, identifier: bytes) -> None:
-        if identifier not in self.store:
-            return
-        self.store.pop(identifier, self.now)
-        self._emit(identifier, inner=b"", sequence=0)
-
-    def _emit(self, identifier: bytes, inner: bytes, sequence: int) -> None:
-        body = _signed_body(self.position, identifier, inner)
-        layer = _encode_layer(
-            self.position, identifier, inner, self.pool.sign(body)
-        )
-        self.send_backward(
-            AckPacket.create(
-                identifier, report=layer, origin=self.position,
-                sequence=sequence, is_report=True,
-            )
-        )
-
-    def _expire(self, identifier: bytes) -> None:
-        entry = self.store.get(identifier)
-        if entry is not None and not entry["probed"]:
-            self.store.pop(identifier, self.now)
+    def _originate_report(self, identifier: bytes) -> bytes:
+        return _signed_layer(self.pool, self.position, identifier, b"")
 
 
-class SigAckDestination(DestinationAgent):
-    """Destination: signs every ack and every probe response."""
+class SigAckDestination(OnionDestination):
+    """Full-ack destination that signs every ack and probe response."""
 
     def __init__(self, protocol: "SigAckProtocol") -> None:
-        super().__init__(protocol)
+        super().__init__(
+            protocol, hold=2.0 * protocol.params.r0,
+            ack_predicate=lambda packet: True,
+        )
         self.pool = protocol.pools[self.position]
-        self._hold = 2.0 * protocol.params.r0
 
-    def on_packet(self, packet: Packet, direction: Direction) -> None:
-        if direction is Direction.FORWARD and packet.kind is PacketKind.DATA:
-            self._on_data(packet)
-        elif direction is Direction.FORWARD and packet.kind is PacketKind.PROBE:
-            self._on_probe(packet)
+    def _ack_tag(self, identifier: bytes) -> bytes:
+        return self.pool.sign(b"e2e" + identifier)
 
-    def _on_data(self, packet: DataPacket) -> None:
-        if not self.is_fresh(packet):
-            return
-        identifier = packet.identifier
-        entry = self.store.add(identifier, self.now)
-        entry["hold_handle"] = self.timer_with_slack(
-            self._hold, lambda: self._expire(identifier)
-        )
-        self.path.stats.record_data_delivered()
-        self.send_backward(
-            AckPacket.create(
-                identifier,
-                report=self.pool.sign(b"e2e" + identifier),
-                origin=self.position,
-                sequence=packet.sequence,
-                is_report=False,
-            )
-        )
-
-    def _on_probe(self, probe: ProbePacket) -> None:
-        entry = self.store.get(probe.identifier)
-        if entry is None:
-            return
-        entry["hold_handle"].cancel()
-        self.store.pop(probe.identifier, self.now)
-        identifier = probe.identifier
-        body = _signed_body(self.position, identifier, b"")
-        layer = _encode_layer(self.position, identifier, b"", self.pool.sign(body))
-        self.send_backward(
-            AckPacket.create(
-                identifier, report=layer, origin=self.position, is_report=True
-            )
-        )
-
-    def _expire(self, identifier: bytes) -> None:
-        if identifier in self.store:
-            self.store.pop(identifier, self.now)
+    def _originate_report(self, identifier: bytes) -> bytes:
+        return _signed_layer(self.pool, self.position, identifier, b"")
 
 
 class SigAckProtocol(WireProtocol):
@@ -388,17 +193,14 @@ class SigAckProtocol(WireProtocol):
     def __init__(self, *args, pool_height: int = 6, **kwargs) -> None:
         self._pool_height = pool_height
         self.pools: Dict[int, _SignerPool] = {}
-        self.verifiers: Dict[int, _SigVerifierSet] = {}
         super().__init__(*args, **kwargs)
 
     def _build_nodes(self):
         d = self.params.path_length
         for position in range(1, d + 1):
-            pool = _SignerPool(
+            self.pools[position] = _SignerPool(
                 self.keys.master_key(position), height=self._pool_height
             )
-            self.pools[position] = pool
-            self.verifiers[position] = _SigVerifierSet(pool)
         source = SigAckSource(self)
         forwarders = [SigAckForwarder(self, i) for i in range(1, d)]
         destination = SigAckDestination(self)

@@ -261,6 +261,76 @@ class TestGoldenValues:
             "599c43bc88578c0633bdd9c9465dc713af60572c41044eaab9440d4184ad9adc"
         )
 
+    def test_sigack_combo2_event_golden_digest(self):
+        """Sig-ack and combo2 on ``paper_scenario()`` at two seeds, each
+        run with the null and a live registry. Pins the same fields as
+        the event-engine digest plus sig-ack's key regenerations, the
+        source's fault counts and every other metric series (counters
+        with their values). ``sim.events`` is pinned by its total and
+        its sorted per-label values, not by label names: the callbacks
+        these two protocols schedule may move between agent classes
+        without changing a single event."""
+        from repro.obs.registry import MetricsRegistry, using_registry
+
+        def session(name, seed):
+            simulator = Simulator(seed=seed)
+            protocol = paper_scenario().build_protocol(name, simulator)
+            protocol.run_traffic(count=200, rate=1000.0)
+            result = protocol.identify()
+            wires = [link.wire for link in protocol.path.links]
+            regenerations = getattr(protocol, "total_key_regenerations", None)
+            return json.dumps(
+                [
+                    sorted(result.convicted),
+                    [float(e).hex() for e in result.estimates],
+                    result.rounds,
+                    simulator.events_processed,
+                    [
+                        sorted(
+                            (k.value, d.value, n)
+                            for (k, d), n in getattr(wire.stats, field).items()
+                        )
+                        for wire in wires
+                        for field in ("transmissions", "natural_losses")
+                    ],
+                    [node.store.peak for node in protocol.path.nodes],
+                    regenerations() if regenerations else None,
+                    sorted(protocol.source.fault_counts.items()),
+                ]
+            )
+
+        digest = b""
+        for name in ("sig-ack", "combo2"):
+            for seed in (11, 12):
+                registry = MetricsRegistry()
+                with using_registry(registry):
+                    metered = session(name, seed)
+                snapshot = registry.snapshot()
+                events = sorted(
+                    entry["value"] for entry in snapshot["counters"]
+                    if entry["name"] == "sim.events"
+                )
+                # Every other series by name and labels (an agent must not
+                # gain or lose instruments), with each counter's value.
+                series = sorted(
+                    [kind, entry["name"], sorted(entry["labels"].items()),
+                     entry["value"] if kind == "counters" else None]
+                    for kind in ("counters", "gauges", "histograms")
+                    for entry in snapshot[kind]
+                    if entry["name"] != "sim.events"
+                )
+                counts = json.dumps([sum(events), events, series])
+                digest = hash_bytes(
+                    digest
+                    + f"{name}:{seed}".encode()
+                    + session(name, seed).encode()
+                    + metered.encode()
+                    + counts.encode()
+                )
+        assert digest.hex() == (
+            "0eeab175656c8ef1e8efc6a5ef00b8abb954511867802711495f3fa7fac9c39e"
+        )
+
     def test_crypto_streams_stable(self):
         """Key derivation must be stable across runs and machines."""
         from repro.crypto.keys import KeyManager

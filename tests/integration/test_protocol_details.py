@@ -120,6 +120,26 @@ class TestAuthenticatedProbes:
         # 32-byte identifier + 4 hop MACs of 8 bytes = 64 bytes per probe.
         assert probe_bytes / probes == pytest.approx(64.0)
 
+    def test_sigack_forwarder_checks_the_probe_mac_chain(self):
+        """Sig-ack runs the onion cast, so footnote 7 holds for it too: a
+        probe whose hop MAC is bad stops at the first forwarder that
+        holds the packet, and an honest probe passes."""
+        from repro.protocols.onion_common import build_probe
+
+        simulator = Simulator(seed=8)
+        protocol = make_protocol("sig-ack", simulator, self._params())
+        packet = protocol.source.send_data()
+        forwarder = protocol.path.nodes[1]
+        forwarder.deliver(packet, Direction.FORWARD)
+        bogus = ProbePacket.create(packet.identifier, hop_macs=(b"\x00" * 8,) * 4)
+        forwarder.deliver(bogus, Direction.FORWARD)
+        assert forwarder.fault_counts == {"probe_mac_failure": 1}
+        assert forwarder.store.get(packet.identifier)["probed"] is False
+        honest = build_probe(protocol, packet.identifier, packet.sequence)
+        forwarder.deliver(honest, Direction.FORWARD)
+        assert forwarder.fault_counts == {"probe_mac_failure": 1}
+        assert forwarder.store.get(packet.identifier)["probed"] is True
+
 
 class TestLooseClockSynchronization:
     def test_small_skews_harmless(self):
