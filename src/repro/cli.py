@@ -293,9 +293,8 @@ def _cmd_comm_table(args) -> None:
 def _cmd_sweeps(args) -> None:
     from repro.experiments.sweeps import run_corollary3_measured
 
-    for result in run_corollary3_measured(runs=args.runs, seed=args.seed):
-        print(result.render())
-        print()
+    print(run_corollary3_measured(runs=args.runs, seed=args.seed).render())
+    print()
 
 
 def _cmd_report(args) -> None:
@@ -337,6 +336,10 @@ def _cmd_report(args) -> None:
         print(f"report written to {args.out}")
     else:
         print(report.render())
+    failed = [c["id"] for c in report.claims if not c["ok"]]
+    if failed:
+        print(f"paper claims failed: {', '.join(failed)}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 def _cmd_chaos(args) -> None:

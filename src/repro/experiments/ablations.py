@@ -340,8 +340,6 @@ def run_corollary2(
         raise ConfigurationError("z must leave room on the path")
 
     def run_path(malicious_nodes, seed_offset):
-        from repro.net.packets import Direction, PacketKind
-
         scenario = Scenario(params=params, malicious_nodes=malicious_nodes)
         simulator = Simulator(seed=seed + seed_offset)
         protocol = scenario.build_protocol("paai1", simulator)

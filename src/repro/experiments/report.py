@@ -16,6 +16,8 @@ def format_number(value, precision: int = 3) -> str:
     """Human-friendly numeric formatting (engineering-style for big/small)."""
     if value is None:
         return "N/A"
+    if isinstance(value, list):
+        return "; ".join(format_number(item, precision) for item in value)
     if isinstance(value, str):
         return value
     if isinstance(value, bool):

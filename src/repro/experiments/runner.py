@@ -31,19 +31,25 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
+from repro.experiments import claims
 from repro.experiments.ablations import (
     run_burst_loss,
     run_corollary1,
     run_corollary2,
     run_corollary3,
     run_incrimination,
+    run_theorem1_sharpness,
+    run_window_ablation,
 )
+from repro.experiments.comm_table import run_comm_table
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.figure3 import run_figure3_panel
+from repro.experiments.report import render_table
+from repro.experiments.sweeps import run_corollary3_measured
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -102,6 +108,8 @@ class ExperimentRecord:
     text: str
     #: Metrics-registry snapshot for this experiment, if metered.
     metrics: Optional[dict] = None
+    #: Outcomes of this experiment's paper claims (``claims.evaluate``).
+    claims: List[dict] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,8 @@ class ExperimentSpec:
 
 
 def build_specs(scale: str, seed: int = 0) -> List[ExperimentSpec]:
-    """The report's experiment list at ``scale``, in canonical order."""
+    """The report's experiment list at ``scale``, in canonical order; the
+    full scale adds the extensions whose claims need full-size runs."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {sorted(SCALES)}")
     settings = SCALES[scale]
@@ -171,13 +180,34 @@ def build_specs(scale: str, seed: int = 0) -> List[ExperimentSpec]:
             ),
         ]
     )
+    if scale == "full":
+        specs.extend(_full_only_specs(seed))
     return specs
+
+
+def _full_only_specs(seed: int) -> List[ExperimentSpec]:
+    fig2 = [("combo1", 5_000, {}), ("combo2", 2_000, {}),
+            # Statistical FL converges near 2e7 packets.
+            ("statfl", 2_000, {"horizon": 50_000_000})]
+    return [
+        *(ExperimentSpec(f"Figure 2 ({protocol})", run_figure2,
+                         {"protocol": protocol, "runs": runs, "seed": seed, **extra})
+          for protocol, runs, extra in fig2),
+        ExperimentSpec("Communication overhead (measured)", run_comm_table,
+                       {"packets": 1500, "seed": seed}),
+        ExperimentSpec("Sweeps: Corollary 3 (measured)",
+                       run_corollary3_measured, {"runs": 800, "seed": seed}),
+        ExperimentSpec("Ablation: Theorem 1 sharpness",
+                       run_theorem1_sharpness, {"runs": 2000, "seed": seed}),
+        ExperimentSpec("Ablation: windowed scoring", run_window_ablation,
+                       {"seed": seed}),
+    ]
 
 
 def _execute_spec(payload: Tuple) -> ExperimentRecord:
     """Run one spec — in-process or in a pool worker — into a record
     (under its own fresh session, so the registry is its alone)."""
-    name, task, kwargs = payload
+    name, task, kwargs, scale = payload
     # Monotonic, not wall-clock: NTP can step time.time() backwards,
     # which would record negative elapsed_seconds in the telemetry.
     started = time.monotonic()
@@ -189,6 +219,7 @@ def _execute_spec(payload: Tuple) -> ExperimentRecord:
         elapsed_seconds=time.monotonic() - started,
         text=text,
         metrics=registry.snapshot() if registry.enabled else None,
+        claims=claims.evaluate(name, result, scale),
     )
 
 
@@ -208,6 +239,11 @@ class ReproductionReport:
     @property
     def total_seconds(self) -> float:
         return sum(record.elapsed_seconds for record in self.records)
+
+    @property
+    def claims(self) -> List[dict]:
+        """Every claim outcome, in experiment order."""
+        return [c for record in self.records for c in record.claims]
 
     def runtime_breakdown(self) -> List[Tuple[str, float, float]]:
         """``(name, seconds, share_of_total)`` per experiment, slowest first."""
@@ -232,6 +268,18 @@ class ReproductionReport:
             sections.append(
                 f"\n{'#' * 70}\n# {record.name} "
                 f"({record.elapsed_seconds:.1f}s)\n{'#' * 70}\n{record.text}"
+            )
+        outcomes = self.claims
+        if outcomes:
+            held = len(outcomes) - len(claims.failures(outcomes))
+            table = render_table(
+                ["", "claim", "paper", "measured", "check"],
+                [["ok" if c["ok"] else "FAIL", c["id"], c["paper"],
+                  c["measured"], c["check"]] for c in outcomes],
+            )
+            sections.append(
+                f"\n{'#' * 70}\n# Paper claims ({held} of {len(outcomes)} "
+                f"hold)\n{'#' * 70}\n{table}"
             )
         if self.records:
             lines = [
@@ -272,11 +320,7 @@ class ReproductionReport:
             ),
             "total_seconds": self.total_seconds,
             "experiments": [
-                {
-                    "name": record.name,
-                    "elapsed_seconds": record.elapsed_seconds,
-                    "metrics": record.metrics,
-                }
+                {k: v for k, v in asdict(record).items() if k != "text"}
                 for record in self.records
             ],
             "merged_metrics": self.merged_metrics(),
@@ -352,15 +396,7 @@ def load_checkpoint(path: str, scale: str, seed: int) -> Dict[str, ExperimentRec
         _warn_corrupt(path, "records checksum mismatch")
         return {}
     try:
-        return {
-            entry["name"]: ExperimentRecord(
-                name=entry["name"],
-                elapsed_seconds=entry["elapsed_seconds"],
-                text=entry["text"],
-                metrics=entry.get("metrics"),
-            )
-            for entry in records
-        }
+        return {entry["name"]: ExperimentRecord(**entry) for entry in records}
     except (TypeError, KeyError) as exc:
         _warn_corrupt(path, f"malformed record entry ({exc!r})")
         return {}
@@ -380,16 +416,7 @@ def write_checkpoint(
     that still parses as JSON.
     """
     records = [
-        {
-            "name": record.name,
-            "elapsed_seconds": record.elapsed_seconds,
-            "text": record.text,
-            "metrics": record.metrics,
-        }
-        for record in (
-            completed[spec.name] for spec in specs
-            if spec.name in completed
-        )
+        asdict(completed[spec.name]) for spec in specs if spec.name in completed
     ]
     payload = {
         "format": CHECKPOINT_FORMAT,
@@ -440,7 +467,9 @@ def run_all(
     if resume_path:
         completed = load_checkpoint(resume_path, scale=scale, seed=seed)
     pending = [spec for spec in specs if spec.name not in completed]
-    payloads = [(spec.name, spec.task, dict(spec.kwargs)) for spec in pending]
+    payloads = [
+        (spec.name, spec.task, dict(spec.kwargs), scale) for spec in pending
+    ]
     for _, record in run_tasks_completed(
         _execute_spec, payloads, jobs=jobs, retry=retry
     ):

@@ -109,55 +109,42 @@ def sweep_detection(
     return SweepResult(protocol=protocol, parameter=parameter, points=points)
 
 
+@dataclass
+class Corollary3MeasuredResult:
+    """Every sweep of :func:`run_corollary3_measured`."""
+
+    sweeps: List[SweepResult]
+
+    def sweep(self, protocol: str, parameter: str) -> SweepResult:
+        return next(
+            s for s in self.sweeps
+            if s.protocol == protocol and s.parameter == parameter
+        )
+
+    def render(self) -> str:
+        return "\n\n".join(sweep.render() for sweep in self.sweeps)
+
+
 def run_corollary3_measured(
     runs: int = 500, seed: int = 0
-) -> List[SweepResult]:
+) -> Corollary3MeasuredResult:
     """The measured version of Corollary 3: sigma, d, and rho sweeps for
-    full-ack and PAAI-1, plus PAAI-2's d sweep."""
-    results = []
-    results.append(
-        sweep_detection(
-            "full-ack",
-            "sigma",
-            [0.1, 0.03, 0.01],
-            lambda sigma: ProtocolParams(sigma=sigma),
-            malicious_node=4,
-            runs=runs,
-            seed=seed,
-        )
-    )
-    results.append(
-        sweep_detection(
-            "full-ack",
-            "path length d",
-            [4, 6, 8],
-            lambda d: ProtocolParams(
-                path_length=d, probe_frequency=1.0 / d ** 2
-            ),
-            runs=runs,
-            seed=seed,
-        )
-    )
-    results.append(
-        sweep_detection(
-            "full-ack",
-            "rho (eps fixed)",
-            [0.005, 0.01, 0.02],
-            lambda rho: ProtocolParams(natural_loss=rho, alpha=rho + 0.02),
-            malicious_node=4,
-            runs=runs,
-            seed=seed,
-        )
-    )
-    results.append(
-        sweep_detection(
-            "paai2",
-            "path length d",
-            [4, 6, 8],
-            lambda d: ProtocolParams(path_length=d),
-            runs=max(200, runs // 2),
-            seed=seed,
-            max_horizon=400_000,
-        )
-    )
-    return results
+    full-ack, plus PAAI-2's d sweep."""
+    full_ack = {"runs": runs, "seed": seed}
+    return Corollary3MeasuredResult(sweeps=[
+        sweep_detection("full-ack", "sigma", [0.1, 0.03, 0.01],
+                        lambda sigma: ProtocolParams(sigma=sigma),
+                        malicious_node=4, **full_ack),
+        sweep_detection("full-ack", "path length d", [4, 6, 8],
+                        lambda d: ProtocolParams(path_length=d,
+                                                 probe_frequency=1.0 / d ** 2),
+                        **full_ack),
+        sweep_detection("full-ack", "rho (eps fixed)", [0.005, 0.01, 0.02],
+                        lambda rho: ProtocolParams(natural_loss=rho,
+                                                   alpha=rho + 0.02),
+                        malicious_node=4, **full_ack),
+        sweep_detection("paai2", "path length d", [4, 6, 8],
+                        lambda d: ProtocolParams(path_length=d),
+                        runs=max(200, runs // 2), seed=seed,
+                        max_horizon=400_000),
+    ])

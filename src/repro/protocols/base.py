@@ -412,7 +412,9 @@ class WireProtocol:
         the network drain.
 
         ``drain`` defaults to several worst-case round trips so every
-        timer and in-flight report resolves before the call returns.
+        timer and in-flight report resolves before the call returns: the
+        ack wait plus ``probe_retries + 1`` probe waits, each with its
+        slack, and never less than ``4 r0``.
         """
         if count <= 0:
             raise ConfigurationError("count must be positive")
@@ -425,7 +427,8 @@ class WireProtocol:
                 start + index * interval, self.source.send_data
             )
         if drain is None:
-            drain = 4.0 * self.params.r0
+            waits = (self.params.probe_retries + 2) * (1.0 + TIMER_SLACK)
+            drain = max(4.0, waits) * self.params.r0
         self.simulator.run(until=start + count * interval + drain)
 
     # -- verdicts -------------------------------------------------------------

@@ -161,6 +161,11 @@ class OnionForwarder(ForwarderAgent):
         entry = self.store.get(ack.identifier)
         if entry is None or not entry["probed"]:
             return
+        if not ack.report:
+            # Nothing to wrap: count it and let the report timer originate
+            # this node's own layer, as if no report had come back.
+            self.record_fault("empty_report")
+            return
         entry["report_handle"].cancel()
         wrapped = self._wrap_report(ack.identifier, ack.report)
         self.store.pop(ack.identifier, self.now)

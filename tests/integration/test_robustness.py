@@ -252,8 +252,8 @@ class TestDegradedAckHandling:
         assert packet.identifier in protocol.source.pending
 
     @staticmethod
-    def _black_hole_probes(name, retries, at, count):
-        """Probes the source sends when node ``at`` drops everything."""
+    def _black_hole(name, retries, at, count):
+        """A session in which node ``at`` drops everything."""
         params = ProtocolParams(probe_frequency=1.0, probe_retries=retries)
         simulator = Simulator(seed=1)
         protocol = make_protocol(
@@ -261,6 +261,11 @@ class TestDegradedAckHandling:
             adversaries={at: UniformDropper(1.0, random.Random(0))},
         )
         protocol.run_traffic(count=count, rate=1000.0)
+        return protocol
+
+    def _black_hole_probes(self, *args, **kwargs):
+        """Probes the source sends when node ``at`` drops everything."""
+        protocol = self._black_hole(*args, **kwargs)
         return protocol.path.stats.overhead_packets[PacketKind.PROBE]
 
     #: Ack-based protocols with their packet counts. Sig-ack signs every
@@ -290,6 +295,35 @@ class TestDegradedAckHandling:
         once = self._black_hole_probes(name, 0, at=1, count=count)
         assert once == count
         assert self._black_hole_probes(name, 2, at=1, count=count) == 3 * once
+
+    @pytest.mark.parametrize("name,count", ACK_BASED)
+    def test_every_round_resolves_under_a_black_hole_with_retries(
+        self, name, count
+    ):
+        """The default drain covers the ack wait and every probe wait, so
+        no round is still pending when ``run_traffic`` returns."""
+        protocol = self._black_hole(name, 2, at=1, count=count)
+        assert protocol.source.pending == {}
+        assert protocol.board.rounds == count
+
+    @pytest.mark.parametrize("name", ["full-ack", "paai1", "combo1", "sig-ack"])
+    def test_empty_report_is_a_counted_fault(self, name):
+        """An empty report from downstream is counted at the onion
+        forwarder, which then answers with its own layer on time-out."""
+        simulator, protocol = self._protocol(name, probe_frequency=1.0)
+        protocol.path.nodes[2].adversary = UniformDropper(1.0, random.Random(0))
+        first = protocol.path.nodes[1]
+        packet = protocol.source.send_data()
+        identifier = packet.identifier
+        while not (first.store.get(identifier) or {}).get("probed"):
+            assert simulator.run(max_events=1) == 1
+        empty = AckPacket.create(identifier, report=b"", origin=2,
+                                 is_report=True)
+        first.deliver(empty, Direction.REVERSE)
+        assert first.fault_counts == {"empty_report": 1}
+        simulator.run(until=simulator.now + 4 * protocol.params.r0)
+        assert protocol.source.pending == {}
+        assert protocol.board.scores[1] == 1
 
     def test_replayed_ack_never_raises_or_double_counts(self):
         simulator, protocol = self._protocol("full-ack")
